@@ -15,9 +15,7 @@ Config values come from a ``key = value`` file (``--config``); repeated
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from pathlib import Path
 
 from .errors import UAPError
 from .harness import (
@@ -25,6 +23,7 @@ from .harness import (
     RunConfig,
     emit_report,
     load_config,
+    load_reports,
     parse_config,
     run_evaluate,
     run_train,
@@ -111,10 +110,8 @@ def main(argv=None) -> int:
             if args.report:
                 emit_report(reports, args.format, args.report)
         elif args.verb == "report":
-            merged = []
-            for source in args.inputs:
-                for entry in json.loads(Path(source).read_text()):
-                    merged.append(MetricsReport(**entry))
+            merged = [report for source in args.inputs
+                      for report in load_reports(source)]
             emit_report(merged, args.format, args.out)
             print(f"wrote {len(merged)} report row(s) to {args.out}")
     except UAPError as exc:

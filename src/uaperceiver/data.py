@@ -146,24 +146,17 @@ def standardize(dataset: Dataset, stats: ChannelStats) -> Dataset:
     return replace(dataset, images=(dataset.images - stats.mean) / stats.std)
 
 
-def make_batches(dataset: Dataset, batch_size: int, seed: int,
-                 normalize: bool = False, stats: ChannelStats | None = None
+def make_batches(dataset: Dataset, batch_size: int, seed: int
                  ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Seeded Fisher-Yates shuffle into (images, labels) batches.
-
-    The last short batch is kept. When ``normalize`` is set the images
-    are standardized with ``stats`` (computed from this dataset when
-    omitted -- pass train-split statistics for test data).
-    """
+    """Seeded Fisher-Yates shuffle into (images, labels) batches; the
+    last short batch is kept."""
     if batch_size < 1:
         raise UsageError(f"batch_size must be >= 1, got {batch_size}")
-    ds = dataset
-    if normalize:
-        ds = standardize(ds, stats if stats is not None else channel_stats(ds))
-    order = shuffled_indices(len(ds), seed)
+    order = shuffled_indices(len(dataset), seed)
     return [
-        (ds.images[order[i : i + batch_size]], ds.labels[order[i : i + batch_size]])
-        for i in range(0, len(ds), batch_size)
+        (dataset.images[order[i : i + batch_size]],
+         dataset.labels[order[i : i + batch_size]])
+        for i in range(0, len(dataset), batch_size)
     ]
 
 

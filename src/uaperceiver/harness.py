@@ -13,7 +13,8 @@ import dataclasses
 import json
 import struct
 import time
-from dataclasses import dataclass, field
+import typing
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,7 @@ from .data import (
     standardize,
     synth_dataset,
 )
-from .errors import CompatibilityError, ConfigError, FormatError
+from .errors import CompatibilityError, ConfigError, FormatError, UsageError
 from .model import PerceiverConfig
 from .optim import AdamWSettings
 from .params import ParamStore
@@ -47,6 +48,10 @@ from .tensor import Tensor
 
 STRATEGIES = ("single", "deep", "swa", "snapshot", "fast", "mc")
 
+# predictor.json holds these Predictor fields by name, next to the
+# "members" checkpoint files and the "stats_mean"/"stats_std" lists
+MANIFEST_KEYS = ("kind", "temperatures", "mc_delta", "mc_samples", "mc_seed")
+
 CHECKPOINT_MAGIC = b"UAPC"
 CHECKPOINT_VERSION = 1
 
@@ -55,23 +60,10 @@ CHECKPOINT_VERSION = 1
 
 
 @dataclass(frozen=True)
-class RunConfig:
-    # model
-    height: int = 16
-    width: int = 16
-    channels: int = 3
-    num_classes: int = 3
-    latent_count: int = 32
-    latent_dim: int = 64
-    byte_dim: int = 64
-    num_bands: int = 8
-    max_frequency: float = 0.0
-    depth_repeats: int = 2
-    tower_layers: int = 2
-    heads: int = 4
-    pos_encoding: str = "fourier"
-    share_tower_weights: bool = True
-    share_cross_weights: bool = True
+class RunConfig(PerceiverConfig):
+    """The model fields of ``PerceiverConfig`` (first, in its order)
+    followed by the strategy, optimizer, dataset and run fields."""
+
     # strategy
     strategy: str = "single"
     ensemble_size: int = 4
@@ -109,31 +101,31 @@ class RunConfig:
     out_dir: str = "runs/out"
 
     def __post_init__(self):
+        super().__post_init__()
         if self.strategy not in STRATEGIES:
             raise ConfigError(
                 f"strategy must be one of {STRATEGIES}, got {self.strategy!r}"
             )
         if self.dataset not in ("synth", "cifar10", "cifar100"):
             raise ConfigError(f"unknown dataset {self.dataset!r}")
+        try:
+            if self.strategy == "swa":
+                self.swa_schedule()
+            elif self.strategy == "snapshot":
+                LRSchedule("snapshot_cosine", self.learning_rate, 0.0,
+                           self.train_steps, self.snapshot_cycles)
+        except UsageError as exc:
+            raise ConfigError(f"strategy {self.strategy}: {exc}") from None
+        if self.strategy == "mc" and self.mc_samples < 1:
+            raise ConfigError(f"mc_samples must be >= 1, got {self.mc_samples}")
 
     def model_config(self) -> PerceiverConfig:
-        return PerceiverConfig(
-            height=self.height,
-            width=self.width,
-            channels=self.channels,
-            num_classes=self.num_classes,
-            latent_count=self.latent_count,
-            latent_dim=self.latent_dim,
-            byte_dim=self.byte_dim,
-            num_bands=self.num_bands,
-            max_frequency=self.max_frequency,
-            depth_repeats=self.depth_repeats,
-            tower_layers=self.tower_layers,
-            heads=self.heads,
-            pos_encoding=self.pos_encoding,
-            share_tower_weights=self.share_tower_weights,
-            share_cross_weights=self.share_cross_weights,
-        )
+        return PerceiverConfig(**{f.name: getattr(self, f.name)
+                                  for f in dataclasses.fields(PerceiverConfig)})
+
+    def swa_schedule(self) -> LRSchedule:
+        return LRSchedule("swa_linear", self.learning_rate, self.lr_low,
+                          self.swa_steps, self.swa_cycle)
 
     def train_settings(self, mc_delta: float = 0.0) -> TrainSettings:
         return TrainSettings(
@@ -148,24 +140,20 @@ class RunConfig:
         )
 
 
-_FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}
+_TYPES = typing.get_type_hints(RunConfig)  # field name -> type
 
 
 def _parse_value(key: str, raw: str):
-    kind = _FIELDS[key].type
+    kind = _TYPES[key]
     raw = raw.strip()
     try:
-        if kind == "int":
-            return int(raw)
-        if kind == "float":
-            return float(raw)
-        if kind == "bool":
+        if kind is bool:
             if raw.lower() in ("true", "1", "yes"):
                 return True
             if raw.lower() in ("false", "0", "no"):
                 return False
             raise ValueError(raw)
-        return raw
+        return kind(raw)
     except ValueError:
         raise ConfigError(f"bad value {raw!r} for config key {key!r}")
 
@@ -181,11 +169,11 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, raw = (part.strip() for part in line.split("=", 1))
-        if key not in _FIELDS:
+        if key not in _TYPES:
             raise ConfigError(f"unknown config key {key!r} (line {lineno})")
         values[key] = _parse_value(key, raw)
     for key, value in (overrides or {}).items():
-        if key not in _FIELDS:
+        if key not in _TYPES:
             raise ConfigError(f"unknown config key {key!r}")
         values[key] = value if not isinstance(value, str) else _parse_value(key, value)
     return RunConfig(**values)
@@ -270,6 +258,8 @@ def load_checkpoint(path) -> tuple[ParamStore, str]:
     store = ParamStore()
     for name, shape, offset in entries:
         size = int(np.prod(shape)) if shape else 1
+        if offset + 8 * size > len(payload):
+            raise FormatError(f"{path}: truncated payload for tensor {name!r}")
         arr = np.frombuffer(
             payload, dtype="<f8", count=size, offset=offset
         ).reshape(shape)
@@ -362,10 +352,9 @@ def _train_predictor(config: RunConfig, train: Dataset
         settings, fit_temperature=False,
     )
     if config.strategy == "swa":
-        schedule = LRSchedule("swa_linear", lr, config.lr_low,
-                              config.swa_steps, config.swa_cycle)
         predictor, log = swa_train(
-            model, pretrained, train, schedule, derive_seed(config.seed, 1), settings
+            model, pretrained, train, config.swa_schedule(),
+            derive_seed(config.seed, 1), settings,
         )
     else:
         predictor, log = fast_train(
@@ -394,14 +383,8 @@ def run_train(config: RunConfig) -> RunResult:
         save_checkpoint(out_dir / fname, store, echo)
         member_files.append(fname)
     manifest = {
-        "kind": predictor.kind,
         "members": member_files,
-        "temperatures": predictor.temperatures,
-        "mc_delta": predictor.mc_delta,
-        "mc_samples": predictor.mc_samples,
-        "mc_seed": predictor.mc_seed,
-        "snapshot_last": predictor.snapshot_last,
-        "seed": config.seed,
+        **{key: getattr(predictor, key) for key in MANIFEST_KEYS},
         "stats_mean": None if stats is None else list(stats.mean),
         "stats_std": None if stats is None else list(stats.std),
     }
@@ -435,12 +418,32 @@ class MetricsReport:
         return dataclasses.asdict(self)
 
 
+def read_json(path):
+    """Parsed JSON content of ``path``; malformed text is a FormatError."""
+    try:
+        return json.loads(Path(path).read_text())
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise FormatError(f"{path}: not valid JSON ({exc})") from None
+
+
 def load_predictor(run_dir) -> tuple[Predictor, RunConfig, ChannelStats | None]:
     run_dir = Path(run_dir)
-    manifest = json.loads((run_dir / "predictor.json").read_text())
+    manifest = read_json(run_dir / "predictor.json")
+    missing = [key for key in ("members", *MANIFEST_KEYS, "stats_mean", "stats_std")
+               if key not in manifest]
+    if missing:
+        raise FormatError(f"{run_dir / 'predictor.json'}: missing keys {missing}")
+    files = manifest["members"]
+    fields = {key: manifest[key] for key in MANIFEST_KEYS}
+    # older manifests list every snapshot and name how many to average
+    keep = manifest.get("snapshot_last")
+    if keep:
+        files = files[-keep:]
+        if fields["temperatures"]:
+            fields["temperatures"] = fields["temperatures"][-keep:]
     members = []
     echo = None
-    for fname in manifest["members"]:
+    for fname in files:
         store, member_echo = load_checkpoint(run_dir / fname)
         if echo is None:
             echo = member_echo
@@ -448,12 +451,7 @@ def load_predictor(run_dir) -> tuple[Predictor, RunConfig, ChannelStats | None]:
             raise CompatibilityError(f"{fname}: config echo differs between members")
         members.append(store)
     config = parse_config(echo)
-    predictor = Predictor(
-        manifest["kind"], config.model_config(), members,
-        temperatures=manifest["temperatures"], mc_delta=manifest["mc_delta"],
-        mc_samples=manifest["mc_samples"], mc_seed=manifest["mc_seed"],
-        snapshot_last=manifest["snapshot_last"],
-    )
+    predictor = Predictor(config=config.model_config(), members=members, **fields)
     stats = None
     if manifest["stats_mean"] is not None:
         stats = ChannelStats(np.array(manifest["stats_mean"]),
@@ -479,8 +477,7 @@ def evaluate_predictor(predictor: Predictor, config: RunConfig,
         brier=M.brier(batch),
         temperatures=predictor.temperatures,
         wall_clock_seconds=elapsed,
-        config={f.name: getattr(config, f.name)
-                for f in dataclasses.fields(RunConfig)},
+        config=dataclasses.asdict(config),
     )
 
 
@@ -508,6 +505,18 @@ def sweep_ensemble(config: RunConfig, max_size: int | None = None
 
 
 # ---- report emission -------------------------------------------------
+
+
+def load_reports(path) -> list[MetricsReport]:
+    """Reports from a JSON list written by ``emit_report``."""
+    rows = read_json(path)
+    if not isinstance(rows, list):
+        raise FormatError(f"{path}: expected a JSON list of reports")
+    try:
+        return [MetricsReport(**row) for row in rows]
+    except TypeError as exc:
+        raise FormatError(f"{path}: not a metrics report row ({exc})") from None
+
 
 _CSV_COLUMNS = ("variant", "ensemble_size", "seed", "accuracy", "nll", "ece",
                 "brier", "temperatures", "wall_clock_seconds")

@@ -41,22 +41,19 @@ class TrainRunLog:
     steps: list[tuple[int, float, float]] = field(default_factory=list)
     captures: list[tuple[int, int]] = field(default_factory=list)  # (step, member)
 
-    def lr_trace(self) -> list[float]:
-        return [lr for _, lr, _ in self.steps]
-
 
 @dataclass
 class Predictor:
-    """Anything that turns images into probability rows."""
+    """Anything that turns images into probability rows: the uniform
+    average of its members' probability rows."""
 
-    kind: str  # single | deep_ensemble | swa | snapshot | fast | mc_dropout
+    kind: str  # report label (single, deep_ensemble, ..., mc_dropout) only
     config: PerceiverConfig
     members: list[ParamStore]
     temperatures: list[float] | None = None
     mc_delta: float = 0.0
-    mc_samples: int = 0
+    mc_samples: int = 0  # > 0: each member averages this many masked forwards
     mc_seed: int = 0
-    snapshot_last: int | None = None  # average only the last m members
 
     def __post_init__(self):
         if not self.members:
@@ -65,41 +62,34 @@ class Predictor:
             self.members
         ):
             raise UsageError("one temperature per member required")
+        if self.mc_delta and self.mc_samples < 1:
+            raise UsageError("MC dropout (mc_delta > 0) needs mc_samples >= 1")
+        if self.mc_samples and self.temperatures is not None:
+            raise UsageError("MC dropout members take no temperatures")
 
     @property
     def ensemble_size(self) -> int:
-        return len(self.active_members())
-
-    def active_members(self) -> list[ParamStore]:
-        if self.kind == "snapshot" and self.snapshot_last:
-            return self.members[-self.snapshot_last :]
-        return self.members
+        return len(self.members)
 
     def probabilities(self, images) -> np.ndarray:
-        """n x K probability rows, averaged over active members."""
+        """n x K probability rows, averaged over members."""
         images = np.asarray(images, dtype=np.float64)
         if images.ndim == 3:
             images = images[None]
-        if self.kind == "mc_dropout":
-            return np.stack(
-                [
-                    mc_predict(
-                        self.config, self.members[0], img, self.mc_delta,
-                        self.mc_samples, derive_seed(self.mc_seed, i),
-                    )
-                    for i, img in enumerate(images)
-                ]
-            )
-        members = self.active_members()
-        temps = self.temperatures
-        if self.kind == "snapshot" and self.snapshot_last and temps:
-            temps = temps[-self.snapshot_last :]
         member_probs = []
-        for j, store in enumerate(members):
-            logits = forward_logits(self.config, store, images)
-            if temps is not None:
-                logits = logits / temps[j]
-            member_probs.append(softmax_rows(logits))
+        for j, store in enumerate(self.members):
+            if self.mc_samples:
+                probs = np.stack([
+                    mc_predict(self.config, store, img, self.mc_delta,
+                               self.mc_samples, derive_seed(self.mc_seed, i))
+                    for i, img in enumerate(images)
+                ])
+            else:
+                logits = forward_logits(self.config, store, images)
+                if self.temperatures is not None:
+                    logits = logits / self.temperatures[j]
+                probs = softmax_rows(logits)
+            member_probs.append(probs)
         return ensemble_average(member_probs)
 
     def restricted(self, size: int) -> "Predictor":
@@ -128,7 +118,6 @@ def ensemble_average(member_probs) -> np.ndarray:
 class TrainSettings:
     batch_size: int = 4
     adamw: AdamWSettings = AdamWSettings()
-    normalize: bool = False  # harness standardizes datasets up front
     mc_delta: float = 0.0  # input-pixel dropout during training
 
 
@@ -153,10 +142,8 @@ def train_model(
     epoch = 0
     for t in range(1, schedule.total_steps + 1):
         if not batches:
-            batches = make_batches(
-                dataset, settings.batch_size, derive_seed(seed, epoch),
-                normalize=settings.normalize,
-            )
+            batches = make_batches(dataset, settings.batch_size,
+                                   derive_seed(seed, epoch))
             epoch += 1
         images, labels = batches.pop(0)
         if mask_rng is not None:
@@ -243,10 +230,7 @@ def swa_train(
     running average at the end of every LR cycle."""
     if schedule.kind != "swa_linear":
         raise UsageError(f"swa_train needs a swa_linear schedule, got {schedule.kind}")
-    c = schedule.cycles_or_c
-    n = schedule.total_steps
-    if c > n:
-        raise UsageError(f"cycle length {c} exceeds step budget {n}: zero captures")
+    c = schedule.cycles_or_c  # LRSchedule guarantees c <= total_steps
     params = pretrained.copy(requires_grad=True)
     averaged: dict = {"store": None, "count": 0}
 
@@ -277,9 +261,9 @@ def snapshot_train(
     average_last: int | None = None,
 ) -> tuple[Predictor, TrainRunLog]:
     """Single run under cosine restarts; weights are captured at the last
-    step of each cycle (the per-cycle LR minimum). Prediction averages
-    the softmax outputs of the last ``average_last`` members (all, by
-    default)."""
+    step of each cycle (the per-cycle LR minimum). Only the last
+    ``average_last`` captures (all, by default) become members, whose
+    softmax outputs prediction averages."""
     schedule = LRSchedule("snapshot_cosine", initial_lr, 0.0, total_steps,
                           num_snapshots)
     params = init_params(config, derive_seed(seed, 1))
@@ -293,10 +277,9 @@ def snapshot_train(
 
     log = train_model(config, params, dataset, schedule, derive_seed(seed, 2),
                       settings, on_step)
-    return (
-        Predictor("snapshot", config, members, snapshot_last=average_last),
-        log,
-    )
+    if average_last:
+        members = members[-average_last:]
+    return Predictor("snapshot", config, members), log
 
 
 def fast_train(

@@ -154,10 +154,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _result(data, (a, b), backward)
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    return add(a, scale(b, -1.0))
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     data = a.data * b.data

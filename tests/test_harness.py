@@ -107,6 +107,53 @@ def test_bad_strategy_and_dataset():
         ua.parse_config("dataset = mnist\n")
 
 
+# Field order is part of every checkpoint's bytes (the echo is embedded).
+DEFAULT_ECHO = (
+    "height = 16", "width = 16", "channels = 3", "num_classes = 3",
+    "latent_count = 32", "latent_dim = 64", "byte_dim = 64", "num_bands = 8",
+    "max_frequency = 0.0", "depth_repeats = 2", "tower_layers = 2",
+    "heads = 4", "pos_encoding = fourier", "share_tower_weights = True",
+    "share_cross_weights = True", "strategy = single", "ensemble_size = 4",
+    "train_steps = 100", "pretrain_steps = 20", "snapshot_cycles = 5",
+    "snapshot_last = 0", "swa_steps = 10", "swa_cycle = 5", "fast_cycles = 4",
+    "fast_steps_per_cycle = 5", "mc_delta = 0.1", "mc_samples = 30",
+    "learning_rate = 5e-06", "lr_low = 2e-06", "fast_lr_low = 5e-07",
+    "beta1 = 0.9", "beta2 = 0.999", "adam_eps = 1e-08", "weight_decay = 0.01",
+    "batch_size = 4", "dataset = synth", "data_path = ", "test_path = ",
+    "synth_train = 2000", "synth_test = 500", "synth_noise = 0.02",
+    "synth_contrast = 1.0", "normalize = True", "data_seed = 0", "seed = 0",
+    "out_dir = runs/out",
+)
+
+
+def test_default_config_echo_golden():
+    assert config_echo(ua.RunConfig()) == "\n".join(DEFAULT_ECHO) + "\n"
+
+
+def test_model_config_is_the_model_prefix():
+    config = ua.parse_config("latent_dim = 12\nheads = 3\nstrategy = deep\n")
+    model = config.model_config()
+    assert type(model) is ua.PerceiverConfig
+    assert model == ua.PerceiverConfig(latent_dim=12, heads=3)
+
+
+@pytest.mark.parametrize("text,match", [
+    ("latent_dim = 10\nheads = 4\n", "divisible"),
+    ("strategy = swa\nswa_steps = 4\nswa_cycle = 5\n", "swa"),
+    ("strategy = snapshot\ntrain_steps = 3\nsnapshot_cycles = 4\n", "snapshot"),
+    ("strategy = mc\nmc_samples = 0\n", "mc_samples"),
+], ids=["heads", "swa-cycle", "snapshot-cycles", "mc-samples"])
+def test_parse_rejects_inconsistent_config(text, match):
+    with pytest.raises(ConfigError, match=match):
+        ua.parse_config(text)
+
+
+def test_strategy_constraints_only_for_configured_strategy():
+    config = ua.parse_config("swa_steps = 4\nswa_cycle = 5\ntrain_steps = 1\n"
+                             "snapshot_cycles = 4\nmc_samples = 0\n")
+    assert config.strategy == "single"
+
+
 def test_config_echo_reparses():
     config = ua.parse_config("strategy = swa\nseed = 11\nlearning_rate = 2e-4\n")
     assert ua.parse_config(config_echo(config)) == config
@@ -144,6 +191,14 @@ def test_checkpoint_truncated(tmp_path, tiny_config):
     ua.save_checkpoint(path, init_params(tiny_config, 0), "x = 1\n")
     path.write_bytes(path.read_bytes()[:40])
     with pytest.raises(FormatError):
+        ua.load_checkpoint(path)
+
+
+def test_checkpoint_truncated_payload(tmp_path, tiny_config):
+    path = tmp_path / "model.ckpt"
+    ua.save_checkpoint(path, init_params(tiny_config, 0), "x = 1\n")
+    path.write_bytes(path.read_bytes()[:-8])
+    with pytest.raises(FormatError, match="truncated payload"):
         ua.load_checkpoint(path)
 
 
@@ -228,6 +283,43 @@ def test_loaded_predictor_matches_in_memory(tmp_path):
     )
     probs_disk = predictor.probabilities(standardize(test, stats).images)
     np.testing.assert_array_equal(probs_mem, probs_disk)
+
+
+def test_older_snapshot_manifest_loads_last_members(tmp_path):
+    """A manifest listing every snapshot plus "snapshot_last" and "seed"
+    evaluates as the predictor of the last snapshot_last members."""
+    config = tiny_run_config(tmp_path, strategy="snapshot", train_steps=6)
+    result = ua.run_train(config)
+    assert len(result.member_files) == 3
+    path = tmp_path / "predictor.json"
+    manifest = json.loads(path.read_text())
+    path.write_text(json.dumps({**manifest, "snapshot_last": 2, "seed": 0}))
+    report = ua.run_evaluate(tmp_path)
+    _, test = build_datasets(config)
+    last_two = ua.Predictor("snapshot", config.model_config(),
+                            result.predictor.members[-2:])
+    expected = evaluate_predictor(last_two, config, result.stats, test)
+    assert report.ensemble_size == 2
+    assert (report.accuracy, report.nll, report.ece, report.brier) == (
+        expected.accuracy, expected.nll, expected.ece, expected.brier)
+
+
+def test_snapshot_last_stores_only_kept_members(tmp_path):
+    config = tiny_run_config(tmp_path, strategy="snapshot", train_steps=6,
+                             snapshot_last=2)
+    result = ua.run_train(config)
+    assert result.member_files == ["member_000.ckpt", "member_001.ckpt"]
+    assert ua.run_evaluate(tmp_path).ensemble_size == 2
+
+
+def test_manifest_missing_key_is_format_error(tmp_path):
+    ua.run_train(tiny_run_config(tmp_path))
+    path = tmp_path / "predictor.json"
+    manifest = json.loads(path.read_text())
+    del manifest["mc_seed"]
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(FormatError, match="mc_seed"):
+        load_predictor(tmp_path)
 
 
 def test_evaluate_report_equals_direct_metric_calls(tmp_path):
@@ -380,6 +472,39 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     cfg.write_text("strategy = bootstrap\n")
     assert main(["train", "--config", str(cfg)]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_cli_train_rejects_config_before_creating_out_dir(tmp_path, capsys):
+    cfg = write_tiny_config(tmp_path, strategy="swa", swa_cycle=5)
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(cfg), "--out-dir", str(out)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_evaluate_truncated_checkpoint(tmp_path, capsys):
+    ua.run_train(tiny_run_config(tmp_path))
+    path = tmp_path / "member_000.ckpt"
+    path.write_bytes(path.read_bytes()[:-8])
+    assert main(["evaluate", "--run-dir", str(tmp_path)]) == 2
+    assert "format error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content", [
+    "not json {",
+    json.dumps({"variant": "single"}),
+    json.dumps([{"variant": "single"}]),
+    json.dumps([{**sample_report().to_dict(), "extra": 1}]),
+], ids=["not-json", "not-a-list", "missing-keys", "extra-key"])
+def test_cli_report_bad_input(tmp_path, capsys, content):
+    source = tmp_path / "in.json"
+    source.write_text(content)
+    out = tmp_path / "out.csv"
+    assert main(["report", "--inputs", str(source), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("format error:") and str(source) in err
+    assert err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_cli_io_error_exit_code(tmp_path, capsys):

@@ -200,12 +200,20 @@ def test_snapshot_lr_at_captures_is_cycle_minimum(tiny_config, tiny_dataset):
 
 
 def test_snapshot_average_last(tiny_config, tiny_dataset):
-    predictor, _ = ua.snapshot_train(
-        tiny_config, 4, tiny_dataset, total_steps=8, num_snapshots=4,
-        initial_lr=1e-3, settings=FAST, average_last=2,
-    )
-    assert predictor.ensemble_size == 2
-    assert predictor.active_members() == predictor.members[-2:]
+    """average_last=m keeps exactly the last m captures of the full run."""
+    runs = [
+        ua.snapshot_train(
+            tiny_config, 4, tiny_dataset, total_steps=8, num_snapshots=4,
+            initial_lr=1e-3, settings=FAST, average_last=last,
+        )[0]
+        for last in (2, None)
+    ]
+    last_two, every = runs
+    assert last_two.ensemble_size == 2 and every.ensemble_size == 4
+    for kept, full in zip(last_two.members, every.members[-2:]):
+        assert kept.names() == full.names()
+        for name, t in kept.items():
+            assert np.array_equal(t.data, full[name].data)
 
 
 # ---- fast ------------------------------------------------------------
@@ -309,6 +317,28 @@ def test_mc_predictor_probabilities(tiny_config, tiny_dataset):
     np.testing.assert_allclose(probs.sum(axis=1), np.ones(3), atol=1e-12)
     again = predictor.probabilities(tiny_dataset.images[:3])
     np.testing.assert_array_equal(probs, again)
+
+
+def test_mc_predictor_averages_its_members(tiny_config, tiny_dataset):
+    """Each MC member contributes its own mean over masked forwards."""
+    stores = [init_params(tiny_config, seed).detached() for seed in (14, 15)]
+    images = tiny_dataset.images[:3]
+
+    def mc(members):
+        return ua.Predictor("mc_dropout", tiny_config, members, mc_delta=0.2,
+                            mc_samples=4, mc_seed=13).probabilities(images)
+
+    expected = ua.ensemble_average([mc([store]) for store in stores])
+    np.testing.assert_array_equal(mc(stores), expected)
+
+
+def test_mc_predictor_rejects_bad_combinations(tiny_config):
+    params = init_params(tiny_config, 16).detached()
+    with pytest.raises(UsageError):
+        ua.Predictor("mc_dropout", tiny_config, [params], mc_delta=0.2)
+    with pytest.raises(UsageError):
+        ua.Predictor("mc_dropout", tiny_config, [params], temperatures=[1.0],
+                     mc_delta=0.2, mc_samples=2)
 
 
 # ---- bezier ----------------------------------------------------------
