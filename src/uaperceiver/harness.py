@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import struct
 import time
 import typing
@@ -47,6 +48,13 @@ from .strategies import (
 from .tensor import Tensor
 
 STRATEGIES = ("single", "deep", "swa", "snapshot", "fast", "mc")
+# config counts that only one strategy reads; each must be >= 1 under it
+STRATEGY_COUNTS = {
+    "deep": ("ensemble_size",),
+    "swa": ("pretrain_steps",),
+    "fast": ("pretrain_steps", "fast_cycles", "fast_steps_per_cycle"),
+    "mc": ("mc_samples",),
+}
 
 # predictor.json holds these Predictor fields by name, next to the
 # "members" checkpoint files and the "stats_mean"/"stats_std" lists
@@ -108,6 +116,10 @@ class RunConfig(PerceiverConfig):
             )
         if self.dataset not in ("synth", "cifar10", "cifar100"):
             raise ConfigError(f"unknown dataset {self.dataset!r}")
+        self._at_least(1, "batch_size", "train_steps", "synth_train", "synth_test")
+        self._at_least(1, *STRATEGY_COUNTS.get(self.strategy, ()))
+        if self.strategy == "mc" and not 0.0 <= self.mc_delta <= 1.0:
+            raise ConfigError(f"mc_delta must lie in [0, 1], got {self.mc_delta}")
         try:
             if self.strategy == "swa":
                 self.swa_schedule()
@@ -116,8 +128,6 @@ class RunConfig(PerceiverConfig):
                            self.train_steps, self.snapshot_cycles)
         except UsageError as exc:
             raise ConfigError(f"strategy {self.strategy}: {exc}") from None
-        if self.strategy == "mc" and self.mc_samples < 1:
-            raise ConfigError(f"mc_samples must be >= 1, got {self.mc_samples}")
 
     def model_config(self) -> PerceiverConfig:
         return PerceiverConfig(**{f.name: getattr(self, f.name)
@@ -238,18 +248,24 @@ def load_checkpoint(path) -> tuple[ParamStore, str]:
         pos += n
         return chunk
 
+    def text(n):
+        try:
+            return bytes(take(n)).decode("utf-8")
+        except UnicodeDecodeError:
+            raise FormatError(f"{path}: text field is not UTF-8") from None
+
     if bytes(take(4)) != CHECKPOINT_MAGIC:
         raise FormatError(f"{path}: bad magic, not a checkpoint")
     (version,) = struct.unpack("<I", take(4))
     if version != CHECKPOINT_VERSION:
         raise FormatError(f"{path}: unsupported checkpoint version {version}")
     (echo_len,) = struct.unpack("<Q", take(8))
-    echo = bytes(take(echo_len)).decode("utf-8")
+    echo = text(echo_len)
     (count,) = struct.unpack("<I", take(4))
     entries = []
     for _ in range(count):
         (name_len,) = struct.unpack("<I", take(4))
-        name = bytes(take(name_len)).decode("utf-8")
+        name = text(name_len)
         (ndim,) = struct.unpack("<I", take(4))
         shape = tuple(struct.unpack("<Q", take(8))[0] for _ in range(ndim))
         (offset,) = struct.unpack("<Q", take(8))
@@ -257,12 +273,15 @@ def load_checkpoint(path) -> tuple[ParamStore, str]:
     payload = view[pos:]
     store = ParamStore()
     for name, shape, offset in entries:
-        size = int(np.prod(shape)) if shape else 1
+        size = math.prod(shape)  # exact: never wraps like int64
         if offset + 8 * size > len(payload):
             raise FormatError(f"{path}: truncated payload for tensor {name!r}")
-        arr = np.frombuffer(
-            payload, dtype="<f8", count=size, offset=offset
-        ).reshape(shape)
+        try:
+            arr = np.frombuffer(
+                payload, dtype="<f8", count=size, offset=offset
+            ).reshape(shape)
+        except ValueError as exc:  # e.g. more axes than numpy supports
+            raise FormatError(f"{path}: bad shape for tensor {name!r}: {exc}") from None
         store.add(name, Tensor(arr.astype(np.float64)))
     return store, echo
 

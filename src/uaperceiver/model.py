@@ -27,6 +27,10 @@ from .tensor import Tensor
 
 LN_EPS = 1e-5
 
+# images per forward in forward_logits: larger chunks raise evaluation's
+# peak memory without running faster
+FORWARD_CHUNK = 8
+
 # std of a unit normal truncated at +/-2; draws are rescaled by this so
 # the post-truncation sample std matches the requested value
 _TRUNC_STD = 0.8796256610342398
@@ -69,14 +73,21 @@ class PerceiverConfig:
     share_cross_weights: bool = True
 
     def __post_init__(self):
-        if self.latent_count < 1 or self.depth_repeats < 1 or self.tower_layers < 1:
-            raise ConfigError("latent_count, depth_repeats, tower_layers must be >= 1")
+        self._at_least(1, "height", "width", "channels", "latent_count", "latent_dim",
+                       "byte_dim", "num_bands", "depth_repeats", "tower_layers", "heads")
+        self._at_least(2, "num_classes")
         if self.latent_dim % self.heads != 0:
             raise ConfigError(
                 f"latent_dim {self.latent_dim} not divisible by heads {self.heads}"
             )
         if self.pos_encoding not in ("fourier", "learnable"):
             raise ConfigError(f"unknown pos_encoding {self.pos_encoding!r}")
+
+    def _at_least(self, low: int, *names: str) -> None:
+        """ConfigError for the first of the named fields below ``low``."""
+        for name in names:
+            if getattr(self, name) < low:
+                raise ConfigError(f"{name} must be >= {low}, got {getattr(self, name)}")
 
     @property
     def num_bytes(self) -> int:
@@ -233,47 +244,58 @@ def param_count(config: PerceiverConfig) -> tuple[int, dict[str, int]]:
 # ---- forward passes --------------------------------------------------
 
 
-def build_byte_array(image: np.ndarray, config: PerceiverConfig, params: ParamStore):
-    """Flatten an H x W x channels image into the M x byte_dim byte array.
+def build_byte_array(images, config: PerceiverConfig, params: ParamStore):
+    """Flatten ... x H x W x channels images into ... x M x byte_dim byte
+    arrays; any leading axes are batch axes.
 
     Fourier mode concatenates each pixel's channel values with its
     positional features; learnable mode adds a trained per-position
     embedding to the channel values. Either way a learned linear
     projection maps the features to byte_dim.
     """
-    image = np.asarray(image, dtype=np.float64)
+    images = np.asarray(images, dtype=np.float64)
     expected = (config.height, config.width, config.channels)
-    if image.shape != expected:
-        raise DimensionError(f"image shape {image.shape}, config expects {expected}")
-    pixels = image.reshape(config.num_bytes, config.channels)
+    if images.shape[-3:] != expected:
+        raise DimensionError(f"image shape {images.shape}, config expects {expected}")
+    lead = images.shape[:-3]
+    pixels = images.reshape(*lead, config.num_bytes, config.channels)
     if config.pos_encoding == "fourier":
         pos = _image_position_features(
             config.height, config.width, config.num_bands, config.frequency_cap
         )
-        feats = T.Tensor(np.concatenate([pixels, pos], axis=1))
+        pos = np.broadcast_to(pos, (*lead, *pos.shape))
+        feats = T.Tensor(np.concatenate([pixels, pos], axis=-1))
     else:
         feats = T.add(T.Tensor(pixels), params["input.pos_table"])
-    return T.add(
-        T.matmul(feats, params["input.byte_proj.w"]), params["input.byte_proj.b"]
-    )
+    return _linear(feats, params, "input.byte_proj")
+
+
+def _linear(x, params: ParamStore, prefix: str):
+    return T.add(T.matmul(x, params[prefix + ".w"]), params[prefix + ".b"])
+
+
+def _swap_rows_and_heads(x):
+    """(..., rows, H, dh) <-> (..., H, rows, dh)."""
+    n = len(x.shape)
+    return T.transpose(x, (*range(n - 3), n - 2, n - 3, n - 1))
 
 
 def _multihead_attention(q, k, v, heads: int, kind: str):
-    """Scaled dot-product attention per head; concatenated head outputs."""
-    d = q.shape[1]
+    """Scaled dot-product attention with heads as an axis; head outputs
+    are concatenated along the feature axis."""
+    d = q.shape[-1]
     dh = d // heads
-    outs = []
-    for h in range(heads):
-        qh = T.cols(q, h * dh, (h + 1) * dh)
-        kh = T.cols(k, h * dh, (h + 1) * dh)
-        vh = T.cols(v, h * dh, (h + 1) * dh)
-        scores = T.scale(T.matmul(qh, T.transpose(kh)), 1.0 / math.sqrt(dh))
-        if kind == "cross":
-            score_counter.cross += scores.size
-        else:
-            score_counter.latent += scores.size
-        outs.append(T.matmul(T.softmax(scores), vh))
-    return T.concat_cols(outs)
+    qh, kh, vh = (
+        _swap_rows_and_heads(T.reshape(x, (*x.shape[:-1], heads, dh)))
+        for x in (q, k, v)
+    )
+    scores = T.scale(T.matmul(qh, T.transpose(kh)), 1.0 / math.sqrt(dh))
+    if kind == "cross":
+        score_counter.cross += scores.size
+    else:
+        score_counter.latent += scores.size
+    out = _swap_rows_and_heads(T.matmul(T.softmax(scores), vh))
+    return T.reshape(out, (*out.shape[:-2], d))
 
 
 def cross_attention(latent, bytes_mat, params: ParamStore, config: PerceiverConfig,
@@ -289,45 +311,41 @@ def cross_attention(latent, bytes_mat, params: ParamStore, config: PerceiverConf
     kv_in = T.layer_norm(
         bytes_mat, params[f"{group}.ln_kv.gamma"], params[f"{group}.ln_kv.beta"], LN_EPS
     )
-
-    def proj(x, prefix):
-        return T.add(T.matmul(x, params[prefix + ".w"]), params[prefix + ".b"])
-
-    q = proj(q_in, f"{group}.q")
-    k = proj(kv_in, f"{group}.k")
-    v = proj(kv_in, f"{group}.v")
+    q = _linear(q_in, params, f"{group}.q")
+    k = _linear(kv_in, params, f"{group}.k")
+    v = _linear(kv_in, params, f"{group}.v")
     attended = _multihead_attention(q, k, v, config.heads, "cross")
-    return T.add(latent, proj(attended, f"{group}.out"))
+    return T.add(latent, _linear(attended, params, f"{group}.out"))
 
 
 def latent_block(latent, params: ParamStore, config: PerceiverConfig, group: str,
                  layer: int):
     """One tower layer: pre-norm self-attention, then pre-norm 4x GELU MLP."""
     p = f"{group}.layer{layer}"
-
-    def proj(x, prefix):
-        return T.add(T.matmul(x, params[prefix + ".w"]), params[prefix + ".b"])
-
     normed = T.layer_norm(
         latent, params[f"{p}.attn.ln.gamma"], params[f"{p}.attn.ln.beta"], LN_EPS
     )
-    q = proj(normed, f"{p}.attn.q")
-    k = proj(normed, f"{p}.attn.k")
-    v = proj(normed, f"{p}.attn.v")
+    q = _linear(normed, params, f"{p}.attn.q")
+    k = _linear(normed, params, f"{p}.attn.k")
+    v = _linear(normed, params, f"{p}.attn.v")
     attended = _multihead_attention(q, k, v, config.heads, "latent")
-    latent = T.add(latent, proj(attended, f"{p}.attn.out"))
+    latent = T.add(latent, _linear(attended, params, f"{p}.attn.out"))
 
     normed = T.layer_norm(
         latent, params[f"{p}.mlp.ln.gamma"], params[f"{p}.mlp.ln.beta"], LN_EPS
     )
-    hidden = T.gelu(proj(normed, f"{p}.mlp.fc1"))
-    return T.add(latent, proj(hidden, f"{p}.mlp.fc2"))
+    hidden = T.gelu(_linear(normed, params, f"{p}.mlp.fc1"))
+    return T.add(latent, _linear(hidden, params, f"{p}.mlp.fc2"))
 
 
-def perceiver_forward(config: PerceiverConfig, params: ParamStore, image):
-    """Image -> K logits (as a 1 x K tensor participating in the graph)."""
+def perceiver_forward(config: PerceiverConfig, params: ParamStore, images):
+    """B x H x W x C images, or one H x W x C image -> B x K logits (a
+    tensor participating in the graph)."""
+    images = np.asarray(images, dtype=np.float64)
+    if images.ndim == 3:
+        images = images[None]
     try:
-        bytes_mat = build_byte_array(image, config, params)
+        bytes_mat = build_byte_array(images, config, params)
         latent = params["latent.init"]
         for r in range(config.depth_repeats):
             latent = cross_attention(
@@ -336,34 +354,34 @@ def perceiver_forward(config: PerceiverConfig, params: ParamStore, image):
             tg = _tower_group(config, r)
             for l in range(config.tower_layers):
                 latent = latent_block(latent, params, config, tg, l)
+        # B x 1 x D: each image's head product is a 1-row product of its
+        # own, so a logit row does not depend on the rest of the batch
         pooled = T.mean_rows(latent)
-        return T.add(T.matmul(pooled, params["head.w"]), params["head.b"])
+        logits = _linear(pooled, params, "head")
+        return T.reshape(logits, (-1, config.num_classes))
     except KeyError as exc:
         raise ConfigError(f"parameter store does not match config: missing {exc}")
 
 
 def forward_logits(config: PerceiverConfig, params: ParamStore, images) -> np.ndarray:
-    """Batched inference: n x K logits as a plain array (no grad)."""
+    """Batched inference: n x K logits as a plain array (no grad), one
+    forward per FORWARD_CHUNK images."""
     images = np.asarray(images, dtype=np.float64)
     if images.ndim == 3:
         images = images[None]
-    out = np.empty((images.shape[0], config.num_classes))
-    for i, img in enumerate(images):
-        out[i] = perceiver_forward(config, params, img).data[0]
+    out = np.empty((len(images), config.num_classes))
+    for i in range(0, len(images), FORWARD_CHUNK):
+        chunk = images[i : i + FORWARD_CHUNK]
+        out[i : i + FORWARD_CHUNK] = perceiver_forward(config, params, chunk).data
     return out
 
 
 def batch_loss(config: PerceiverConfig, params: ParamStore, images, labels):
     """Mean cross-entropy over a batch, as a scalar graph node."""
     labels = np.asarray(labels, dtype=np.int64)
-    losses = None
-    for img, label in zip(images, labels):
-        logits = perceiver_forward(config, params, img)
-        term = T.cross_entropy(logits, [label])
-        losses = term if losses is None else T.add(losses, term)
-    if losses is None:
+    if labels.size == 0:
         raise UsageError("batch_loss called with an empty batch")
-    return T.scale(losses, 1.0 / len(labels))
+    return T.cross_entropy(perceiver_forward(config, params, images), labels)
 
 
 def config_to_dict(config: PerceiverConfig) -> dict:

@@ -337,12 +337,11 @@ def mc_predict(config: PerceiverConfig, params: ParamStore, image,
         # every sample is the unmasked forward; return it bit-exactly
         # rather than averaging identical values
         return softmax_rows(forward_logits(config, params, image))[0]
-    acc = np.zeros(config.num_classes)
-    for i in range(num_samples):
-        masked = mc_dropout_mask(image, delta, generator(seed, i))
-        logits = forward_logits(config, params, masked)
-        acc += softmax_rows(logits)[0]
-    return acc / num_samples
+    masked = np.stack([mc_dropout_mask(image, delta, generator(seed, i))
+                       for i in range(num_samples)])
+    probs = softmax_rows(forward_logits(config, params, masked))
+    # axis-0 sums add the rows in sample order
+    return probs.sum(axis=0) / num_samples
 
 
 def bezier_point(w0: ParamStore, w1: ParamStore, control: ParamStore,

@@ -1,9 +1,11 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-The engine is deliberately small: 2-D matrices (plus vectors) and the
-dozen operations needed to express an attention network. Every operation
-validates that its result is finite; NaN/Inf anywhere is treated as an
-error state rather than silently propagated.
+The engine is deliberately small: arrays whose last two axes are
+matrices, any leading axes being batch axes (images, heads) that
+broadcast, and the dozen operations needed to express an attention
+network. Every operation validates that its result is finite; NaN/Inf
+anywhere is treated as an error state rather than silently propagated.
+Shape operations return views; no operation mutates its inputs.
 
 Gradients accumulate into ``Tensor.grad`` on every ``backward`` call;
 resetting between optimizer steps is the caller's responsibility.
@@ -12,7 +14,7 @@ resetting between optimizer steps is the caller's responsibility.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -178,30 +180,38 @@ def scale(a: Tensor, c: float) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """Matrix product over the last two axes; leading axes broadcast."""
     a, b = as_tensor(a), as_tensor(b)
-    if a.data.ndim != 2 or b.data.ndim != 2:
+    if a.data.ndim < 2 or b.data.ndim < 2:
         raise DimensionError(
             f"matmul expects matrices, got {a.data.shape} and {b.data.shape}"
         )
-    if a.data.shape[1] != b.data.shape[0]:
+    if a.data.shape[-1] != b.data.shape[-2]:
         raise DimensionError(
             f"matmul inner extents disagree: {a.data.shape} x {b.data.shape}"
         )
     data = a.data @ b.data
 
     def backward(g):
-        return ((a, g @ b.data.T), (b, a.data.T @ g))
+        return (
+            (a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape)),
+            (b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape)),
+        )
 
     return _result(data, (a, b), backward)
 
 
-def transpose(a: Tensor) -> Tensor:
+def transpose(a: Tensor, axes=None) -> Tensor:
+    """Permute axes; by default swap the last two."""
     a = as_tensor(a)
+    if axes is None:
+        axes = (*range(a.data.ndim - 2), a.data.ndim - 1, a.data.ndim - 2)
+    inverse = np.argsort(axes)
 
     def backward(g):
-        return ((a, g.T),)
+        return ((a, g.transpose(inverse)),)
 
-    return _result(a.data.T.copy(), (a,), backward)
+    return _result(a.data.transpose(axes), (a,), backward)
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -211,37 +221,7 @@ def reshape(a: Tensor, shape) -> Tensor:
     def backward(g):
         return ((a, g.reshape(old)),)
 
-    return _result(a.data.reshape(shape).copy(), (a,), backward)
-
-
-def cols(a: Tensor, j0: int, j1: int) -> Tensor:
-    """Column slice [:, j0:j1] of a matrix."""
-    a = as_tensor(a)
-    if a.data.ndim != 2:
-        raise DimensionError("cols expects a matrix")
-
-    def backward(g):
-        full = np.zeros_like(a.data)
-        full[:, j0:j1] = g
-        return ((a, full),)
-
-    return _result(a.data[:, j0:j1].copy(), (a,), backward)
-
-
-def concat_cols(parts: Iterable[Tensor]) -> Tensor:
-    parts = [as_tensor(p) for p in parts]
-    widths = [p.data.shape[1] for p in parts]
-    data = np.concatenate([p.data for p in parts], axis=1)
-
-    def backward(g):
-        out = []
-        j = 0
-        for p, w in zip(parts, widths):
-            out.append((p, g[:, j : j + w]))
-            j += w
-        return tuple(out)
-
-    return _result(data, parts, backward)
+    return _result(a.data.reshape(shape), (a,), backward)
 
 
 # ---- nonlinearities --------------------------------------------------
@@ -321,16 +301,16 @@ def total(a: Tensor) -> Tensor:
 
 
 def mean_rows(a: Tensor) -> Tensor:
-    """Mean over rows of a matrix; returns a 1 x D matrix."""
+    """Mean over the rows (axis -2), kept as a 1-row axis."""
     a = as_tensor(a)
-    if a.data.ndim != 2:
+    if a.data.ndim < 2:
         raise DimensionError("mean_rows expects a matrix")
-    m = a.data.shape[0]
+    m = a.data.shape[-2]
 
     def backward(g):
         return ((a, np.broadcast_to(g / m, a.data.shape).copy()),)
 
-    return _result(a.data.mean(axis=0, keepdims=True), (a,), backward)
+    return _result(a.data.mean(axis=-2, keepdims=True), (a,), backward)
 
 
 def cross_entropy(logits: Tensor, labels) -> Tensor:

@@ -6,10 +6,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import uaperceiver as ua
 from uaperceiver.cli import main
-from uaperceiver.errors import ConfigError, FormatError
+from uaperceiver.errors import ConfigError, FormatError, UAPError
 from uaperceiver.harness import (
     CHECKPOINT_MAGIC,
     build_datasets,
@@ -142,7 +144,23 @@ def test_model_config_is_the_model_prefix():
     ("strategy = swa\nswa_steps = 4\nswa_cycle = 5\n", "swa"),
     ("strategy = snapshot\ntrain_steps = 3\nsnapshot_cycles = 4\n", "snapshot"),
     ("strategy = mc\nmc_samples = 0\n", "mc_samples"),
-], ids=["heads", "swa-cycle", "snapshot-cycles", "mc-samples"])
+    ("heads = 0\n", "heads"),
+    ("byte_dim = 0\n", "byte_dim"),
+    ("channels = 0\n", "channels"),
+    ("num_bands = 0\n", "num_bands"),
+    ("num_classes = 1\n", "num_classes"),
+    ("batch_size = 0\n", "batch_size"),
+    ("train_steps = 0\n", "train_steps"),
+    ("synth_train = 0\n", "synth_train"),
+    ("synth_test = 0\n", "synth_test"),
+    ("strategy = deep\nensemble_size = 0\n", "ensemble_size"),
+    ("strategy = fast\nfast_cycles = 0\n", "fast_cycles"),
+    ("strategy = swa\npretrain_steps = 0\n", "pretrain_steps"),
+    ("strategy = mc\nmc_delta = 1.5\n", "mc_delta"),
+], ids=["heads", "swa-cycle", "snapshot-cycles", "mc-samples", "heads-zero",
+        "byte-dim", "channels", "num-bands", "num-classes", "batch-size",
+        "train-steps", "synth-train", "synth-test", "ensemble-size",
+        "fast-cycles", "pretrain-steps", "mc-delta"])
 def test_parse_rejects_inconsistent_config(text, match):
     with pytest.raises(ConfigError, match=match):
         ua.parse_config(text)
@@ -150,7 +168,9 @@ def test_parse_rejects_inconsistent_config(text, match):
 
 def test_strategy_constraints_only_for_configured_strategy():
     config = ua.parse_config("swa_steps = 4\nswa_cycle = 5\ntrain_steps = 1\n"
-                             "snapshot_cycles = 4\nmc_samples = 0\n")
+                             "snapshot_cycles = 4\nmc_samples = 0\n"
+                             "ensemble_size = 0\nfast_cycles = 0\n"
+                             "pretrain_steps = 0\nmc_delta = 1.5\n")
     assert config.strategy == "single"
 
 
@@ -209,6 +229,85 @@ def test_checkpoint_version_check(tmp_path):
     path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<I", 99))
     with pytest.raises(FormatError, match="version"):
         ua.load_checkpoint(path)
+
+
+def _one_tensor_checkpoint(path, echo="x = 1\n"):
+    """A checkpoint holding one 1 x 1 tensor; returns its header length
+    (everything before the name's extents)."""
+    store = ua.ParamStore()
+    store.add("w", ua.Tensor(np.ones((1, 1))))
+    ua.save_checkpoint(path, store, echo)
+    return 4 + 4 + 8 + len(echo) + 4 + 4 + len("w") + 4
+
+
+def test_checkpoint_non_utf8_text_is_format_error(tmp_path):
+    path = tmp_path / "model.ckpt"
+    header = _one_tensor_checkpoint(path)
+    raw = bytearray(path.read_bytes())
+    for pos in (16, header - 5):  # first echo byte, the tensor name
+        corrupt = raw.copy()
+        corrupt[pos] = 0xFF
+        path.write_bytes(bytes(corrupt))
+        with pytest.raises(FormatError, match="UTF-8"):
+            ua.load_checkpoint(path)
+
+
+def test_checkpoint_extents_product_beyond_int64(tmp_path):
+    import struct
+
+    path = tmp_path / "model.ckpt"
+    header = _one_tensor_checkpoint(path)
+    raw = bytearray(path.read_bytes())
+    # 2**32 x 2**32 elements: np.prod wraps this to 0
+    raw[header : header + 16] = struct.pack("<QQ", 2**32, 2**32)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(FormatError, match="truncated payload"):
+        ua.load_checkpoint(path)
+
+
+def test_checkpoint_more_axes_than_numpy_supports(tmp_path):
+    import struct
+
+    path = tmp_path / "model.ckpt"
+    echo = b"x = 1\n"
+    path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<IQ", 1, len(echo)) + echo
+                     + struct.pack("<II", 1, 1) + b"w" + struct.pack("<I", 65)
+                     + struct.pack("<65Q", *[0] * 65) + struct.pack("<Q", 0))
+    with pytest.raises(FormatError, match="bad shape"):
+        ua.load_checkpoint(path)
+
+
+@pytest.fixture(scope="module")
+def valid_checkpoint(tmp_path_factory):
+    """(bytes, header + manifest length, directory) of a small model's
+    checkpoint."""
+    path = tmp_path_factory.mktemp("ckpt") / "member.ckpt"
+    config = ua.PerceiverConfig(height=2, width=2, channels=1, latent_count=2,
+                                latent_dim=4, byte_dim=4, num_bands=1,
+                                depth_repeats=1, tower_layers=1, heads=2)
+    store = init_params(config, 0)
+    ua.save_checkpoint(path, store, config_echo(ua.RunConfig()))
+    raw = path.read_bytes()
+    return raw, len(raw) - 8 * store.num_scalars(), path.parent
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_checkpoint_single_byte_corruption(valid_checkpoint, data):
+    """Any one corrupted header or manifest byte either still loads or
+    raises a package error, never a bare Python exception."""
+    raw, header, directory = valid_checkpoint
+    pos = data.draw(st.integers(0, header - 1), label="position")
+    value = data.draw(st.integers(0, 255).filter(lambda v: v != raw[pos]),
+                      label="byte")
+    corrupt = bytearray(raw)
+    corrupt[pos] = value
+    path = directory / "corrupt.ckpt"
+    path.write_bytes(bytes(corrupt))
+    try:
+        ua.load_checkpoint(path)
+    except UAPError:
+        pass
 
 
 # ---- training runs ---------------------------------------------------

@@ -10,11 +10,14 @@ import uaperceiver as ua
 from uaperceiver import tensor as T
 from uaperceiver.errors import ConfigError, DimensionError, RangeError
 from uaperceiver.model import (
+    FORWARD_CHUNK,
     LN_EPS,
     batch_loss,
     config_to_dict,
     score_counter,
 )
+
+from conftest import global_fd_gradcheck
 
 
 # ---- numpy reference pieces ------------------------------------------
@@ -259,12 +262,12 @@ def test_score_entry_counts(tiny_config):
     params = ua.init_params(tiny_config, 0)
     n, m, heads = (tiny_config.latent_count, tiny_config.num_bytes,
                    tiny_config.heads)
-    score_counter.reset()
-    image = np.zeros((4, 4, 1))
-    ua.perceiver_forward(tiny_config, params, image)
     r, layers = tiny_config.depth_repeats, tiny_config.tower_layers
-    assert score_counter.cross == r * heads * n * m
-    assert score_counter.latent == r * layers * heads * n * n
+    for images, b in ((np.zeros((4, 4, 1)), 1), (np.zeros((5, 4, 4, 1)), 5)):
+        score_counter.reset()
+        ua.perceiver_forward(tiny_config, params, images)
+        assert score_counter.cross == b * r * heads * n * m
+        assert score_counter.latent == b * r * layers * heads * n * n
     score_counter.reset()
 
 
@@ -308,12 +311,50 @@ def test_forward_params_config_mismatch(tiny_config):
 
 
 def test_forward_logits_batches(tiny_config):
-    params = ua.init_params(tiny_config, 7)
-    images = np.random.default_rng(8).random((3, 4, 4, 1))
-    batch = ua.forward_logits(tiny_config, params, images)
-    assert batch.shape == (3, 3)
-    single = ua.forward_logits(tiny_config, params, images[1])
-    np.testing.assert_array_equal(batch[1], single[0])
+    """Rows do not depend on the batch or the chunking: every row of a
+    multi-chunk call bit-equals the image's own 1-image forward."""
+    import dataclasses
+
+    n = 2 * FORWARD_CHUNK + 3
+    images = np.random.default_rng(8).random((n, 4, 4, 1))
+    for pos_encoding in ("fourier", "learnable"):
+        for shared in (True, False):
+            config = dataclasses.replace(tiny_config, pos_encoding=pos_encoding,
+                                         share_tower_weights=shared,
+                                         share_cross_weights=shared)
+            params = ua.init_params(config, 7)
+            batch = ua.forward_logits(config, params, images)
+            assert batch.shape == (n, config.num_classes)
+            for i in range(n):
+                single = ua.forward_logits(config, params, images[i])
+                np.testing.assert_array_equal(batch[i], single[0])
+
+
+def test_batch_loss_is_mean_of_image_losses(tiny_config):
+    params = ua.init_params(tiny_config, 14)
+    images = np.random.default_rng(15).random((5, 4, 4, 1))
+    labels = [0, 2, 1, 1, 0]
+    loss = float(batch_loss(tiny_config, params, images, labels).data)
+    singles = [float(batch_loss(tiny_config, params, [img], [y]).data)
+               for img, y in zip(images, labels)]
+    assert abs(loss - np.mean(singles)) < 1e-12
+
+
+def test_batch_loss_gradient_fd():
+    config = ua.PerceiverConfig(
+        height=2, width=2, channels=1, num_classes=3, latent_count=3,
+        latent_dim=4, byte_dim=4, num_bands=1, depth_repeats=1,
+        tower_layers=1, heads=2,
+    )
+    params = ua.init_params(config, 16)
+    for _, t in params.items():
+        t.data *= 5.0  # healthy gradient magnitudes for the FD comparison
+    images = np.random.default_rng(17).random((2, 2, 2, 1))
+    leaves = [t for _, t in params.items()]
+    err = global_fd_gradcheck(
+        lambda: batch_loss(config, params, images, [1, 2]), leaves, h=1e-6
+    )
+    assert err < 1e-6
 
 
 def test_gradients_reach_all_parameters(tiny_config):
@@ -406,6 +447,10 @@ def test_config_validation():
         ua.PerceiverConfig(pos_encoding="sinusoid")
     with pytest.raises(ConfigError):
         ua.PerceiverConfig(depth_repeats=0)
+    for name, value in (("heads", 0), ("byte_dim", 0), ("channels", 0),
+                        ("num_bands", 0), ("num_classes", 1)):
+        with pytest.raises(ConfigError, match=f"{name} must be >="):
+            ua.PerceiverConfig(**{name: value})
 
 
 def test_config_to_dict_roundtrip(tiny_config):

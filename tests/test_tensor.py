@@ -62,6 +62,22 @@ def test_matmul_gradient_oracle():
     np.testing.assert_allclose(b.grad, a.data.T @ w, atol=1e-12)
 
 
+@pytest.mark.parametrize("a_shape,b_shape", [
+    ((2, 3, 4), (4, 5)),  # batched activations x shared weight
+    ((3, 4), (2, 4, 5)),  # shared queries x batched keys
+    ((2, 1, 3, 4), (3, 4, 2)),  # heads axis broadcast against a batch axis
+], ids=["batch-weight", "shared-batch", "4d"])
+def test_matmul_broadcast_gradient_fd(a_shape, b_shape):
+    rng = np.random.default_rng(5)
+    a, b = leaf(rng.normal(size=a_shape)), leaf(rng.normal(size=b_shape))
+    w = T.Tensor(rng.normal(size=(a.data @ b.data).shape))
+
+    def loss():
+        return T.total(T.mul(T.matmul(a, b), w))
+
+    assert global_fd_gradcheck(loss, [a, b], h=1e-6) < 1e-8
+
+
 # ---- softmax ---------------------------------------------------------
 
 
@@ -280,17 +296,6 @@ def test_op_producing_non_finite_rejected():
         T.add(big, big)
 
 
-def test_cols_and_concat_roundtrip():
-    rng = np.random.default_rng(7)
-    x = leaf(rng.normal(size=(3, 6)))
-    parts = [T.cols(x, 0, 2), T.cols(x, 2, 6)]
-    out = T.concat_cols(parts)
-    np.testing.assert_array_equal(out.data, x.data)
-    w = T.Tensor(rng.normal(size=(3, 6)))
-    T.total(T.mul(out, w)).backward()
-    np.testing.assert_allclose(x.grad, w.data, atol=1e-15)
-
-
 def test_transpose_reshape_mean_rows():
     x = leaf([[1.0, 2.0], [3.0, 4.0]])
     assert T.transpose(x).data.tolist() == [[1.0, 3.0], [2.0, 4.0]]
@@ -298,6 +303,40 @@ def test_transpose_reshape_mean_rows():
     np.testing.assert_array_equal(T.mean_rows(x).data, [[2.0, 3.0]])
     T.total(T.mean_rows(x)).backward()
     np.testing.assert_allclose(x.grad, np.full((2, 2), 0.5), atol=1e-15)
+    # shape ops return views of their input; backward must not write into it
+    y = T.reshape(T.transpose(x), (4,))
+    T.total(T.mul(y, T.Tensor([1.0, 2.0, 3.0, 4.0]))).backward()
+    assert x.data.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+    np.testing.assert_allclose(x.grad, [[1.5, 3.5], [2.5, 4.5]], atol=1e-15)
+
+
+def test_transpose_axes_gradient_fd():
+    rng = np.random.default_rng(8)
+    x = leaf(rng.normal(size=(2, 3, 4)))
+    w = T.Tensor(rng.normal(size=(4, 2, 3)))
+    out = T.transpose(x, (2, 0, 1))
+    np.testing.assert_array_equal(out.data, x.data.transpose(2, 0, 1))
+    assert T.transpose(x).shape == (2, 4, 3)  # default: swap the last two
+
+    def loss():
+        return T.total(T.mul(T.transpose(x, (2, 0, 1)), w))
+
+    assert global_fd_gradcheck(loss, [x], h=1e-6) < 1e-8
+
+
+def test_mean_rows_batched_gradient_fd():
+    rng = np.random.default_rng(9)
+    x = leaf(rng.normal(size=(3, 4, 2)))
+    w = T.Tensor(rng.normal(size=(3, 1, 2)))
+    out = T.mean_rows(x)
+    assert out.shape == (3, 1, 2)
+    for i in range(3):
+        np.testing.assert_array_equal(out.data[i], T.mean_rows(x.data[i]).data)
+
+    def loss():
+        return T.total(T.mul(T.mean_rows(x), w))
+
+    assert global_fd_gradcheck(loss, [x], h=1e-6) < 1e-8
 
 
 def test_broadcast_bias_gradient():
