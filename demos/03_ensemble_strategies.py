@@ -73,9 +73,9 @@ def main():
     def snapshot():
         # longer cycles and only the last two snapshots: early cycles
         # are still far from convergence at desk scale
+        schedule = LRSchedule("snapshot_cosine", LR, 0.0, 2 * STEPS, 3)
         predictor, _ = ua.snapshot_train(
-            config, SEED, train, total_steps=2 * STEPS, num_snapshots=3,
-            initial_lr=LR, settings=settings, average_last=2,
+            config, SEED, train, schedule, settings, average_last=2
         )
         return predictor
 
@@ -84,9 +84,9 @@ def main():
             config, train, constant, derive_seed(SEED, 0), settings,
             fit_temperature=False,
         )
+        schedule = LRSchedule("fast_cyclic", LR, LR / 10, 4 * 8, 4)
         predictor, _ = ua.fast_train(
-            config, store, train, derive_seed(SEED, 1), cycles=4,
-            alpha1=LR, alpha2=LR / 10, steps_per_cycle=8, settings=settings,
+            config, store, train, schedule, derive_seed(SEED, 1), settings
         )
         return predictor
 

@@ -29,10 +29,12 @@ def main():
         config, 4, 1, train, schedule, ua.TrainSettings(batch_size=4)
     )
 
+    # each member is evaluated once; size M averages the first M members
+    member_probs = predictor.member_probabilities(test.images)
     print(f"{'M':>2} {'acc':>7} {'nll':>8} {'ece':>8} {'brier':>8}")
     for size in range(1, 5):
-        sub = predictor.restricted(size)
-        batch = ua.EvalBatch(sub.probabilities(test.images), test.labels)
+        probs = ua.ensemble_average(member_probs[:size])
+        batch = ua.EvalBatch(probs, test.labels)
         print(f"{size:>2} {ua.accuracy(batch):>7.4f} {ua.nll(batch):>8.4f} "
               f"{ua.ece(batch):>8.4f} {ua.brier(batch):>8.4f}")
     temps = ", ".join(f"{t:.2f}" for t in predictor.temperatures)

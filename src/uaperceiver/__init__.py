@@ -50,7 +50,6 @@ from .strategies import (
     Predictor,
     TrainRunLog,
     TrainSettings,
-    bezier_point,
     deep_ensemble_train,
     ensemble_average,
     fast_train,

@@ -29,7 +29,8 @@ from .data import (
     standardize,
     synth_dataset,
 )
-from .errors import CompatibilityError, ConfigError, FormatError, UsageError
+from .errors import (CompatibilityError, ConfigError, FormatError, RangeError,
+                     UsageError)
 from .model import PerceiverConfig
 from .optim import AdamWSettings
 from .params import ParamStore
@@ -40,6 +41,7 @@ from .strategies import (
     TrainRunLog,
     TrainSettings,
     deep_ensemble_train,
+    ensemble_average,
     fast_train,
     snapshot_train,
     swa_train,
@@ -120,12 +122,16 @@ class RunConfig(PerceiverConfig):
         self._at_least(1, *STRATEGY_COUNTS.get(self.strategy, ()))
         if self.strategy == "mc" and not 0.0 <= self.mc_delta <= 1.0:
             raise ConfigError(f"mc_delta must lie in [0, 1], got {self.mc_delta}")
+        if self.strategy == "snapshot":
+            self._at_least(0, "snapshot_last")
+        if not self.synth_noise >= 0.0:
+            raise ConfigError(f"synth_noise must be >= 0, got {self.synth_noise}")
         try:
-            if self.strategy == "swa":
-                self.swa_schedule()
-            elif self.strategy == "snapshot":
-                LRSchedule("snapshot_cosine", self.learning_rate, 0.0,
-                           self.train_steps, self.snapshot_cycles)
+            self.train_settings()
+        except RangeError as exc:
+            raise ConfigError(f"AdamW: {exc}") from None
+        try:
+            self.schedule()
         except UsageError as exc:
             raise ConfigError(f"strategy {self.strategy}: {exc}") from None
 
@@ -133,9 +139,21 @@ class RunConfig(PerceiverConfig):
         return PerceiverConfig(**{f.name: getattr(self, f.name)
                                   for f in dataclasses.fields(PerceiverConfig)})
 
-    def swa_schedule(self) -> LRSchedule:
-        return LRSchedule("swa_linear", self.learning_rate, self.lr_low,
-                          self.swa_steps, self.swa_cycle)
+    def schedule(self) -> LRSchedule:
+        """The learning-rate schedule of the configured strategy (after
+        pretraining, for swa and fast)."""
+        lr = self.learning_rate
+        if self.strategy == "swa":
+            return LRSchedule("swa_linear", lr, self.lr_low, self.swa_steps,
+                              self.swa_cycle)
+        if self.strategy == "snapshot":
+            return LRSchedule("snapshot_cosine", lr, 0.0, self.train_steps,
+                              self.snapshot_cycles)
+        if self.strategy == "fast":
+            return LRSchedule("fast_cyclic", lr, self.fast_lr_low,
+                              self.fast_cycles * self.fast_steps_per_cycle,
+                              self.fast_cycles)
+        return LRSchedule("constant", lr, lr, self.train_steps, 1)
 
     def train_settings(self, mc_delta: float = 0.0) -> TrainSettings:
         return TrainSettings(
@@ -333,24 +351,22 @@ def _train_predictor(config: RunConfig, train: Dataset
                      ) -> tuple[Predictor, list[TrainRunLog]]:
     model = config.model_config()
     settings = config.train_settings()
-    lr = config.learning_rate
-    constant = lambda steps: LRSchedule("constant", lr, lr, steps, 1)
+    schedule = config.schedule()
 
     if config.strategy == "single":
         # the plain baseline: one model, no temperature scaling
         store, _, log = train_member(
-            model, train, constant(config.train_steps), derive_seed(config.seed, 0),
-            settings, fit_temperature=False,
+            model, train, schedule, derive_seed(config.seed, 0), settings,
+            fit_temperature=False,
         )
         return Predictor("single", model, [store]), [log]
     if config.strategy == "deep":
         return deep_ensemble_train(
-            model, config.ensemble_size, config.seed, train,
-            constant(config.train_steps), settings,
+            model, config.ensemble_size, config.seed, train, schedule, settings,
         )
     if config.strategy == "mc":
         store, _, log = train_member(
-            model, train, constant(config.train_steps), derive_seed(config.seed, 0),
+            model, train, schedule, derive_seed(config.seed, 0),
             config.train_settings(mc_delta=config.mc_delta), fit_temperature=False,
         )
         predictor = Predictor(
@@ -360,27 +376,20 @@ def _train_predictor(config: RunConfig, train: Dataset
         return predictor, [log]
     if config.strategy == "snapshot":
         predictor, log = snapshot_train(
-            model, config.seed, train, config.train_steps, config.snapshot_cycles,
-            lr, settings, average_last=config.snapshot_last or None,
+            model, config.seed, train, schedule, settings,
+            average_last=config.snapshot_last or None,
         )
         return predictor, [log]
 
     # swa and fast both start from a conventionally pretrained solution
+    lr = config.learning_rate
     pretrained, _, pre_log = train_member(
-        model, train, constant(config.pretrain_steps), derive_seed(config.seed, 0),
-        settings, fit_temperature=False,
+        model, train, LRSchedule("constant", lr, lr, config.pretrain_steps, 1),
+        derive_seed(config.seed, 0), settings, fit_temperature=False,
     )
-    if config.strategy == "swa":
-        predictor, log = swa_train(
-            model, pretrained, train, config.swa_schedule(),
-            derive_seed(config.seed, 1), settings,
-        )
-    else:
-        predictor, log = fast_train(
-            model, pretrained, train, derive_seed(config.seed, 1),
-            cycles=config.fast_cycles, alpha1=lr, alpha2=config.fast_lr_low,
-            steps_per_cycle=config.fast_steps_per_cycle, settings=settings,
-        )
+    train_from = swa_train if config.strategy == "swa" else fast_train
+    predictor, log = train_from(model, pretrained, train, schedule,
+                                derive_seed(config.seed, 1), settings)
     return predictor, [pre_log, log]
 
 
@@ -478,26 +487,33 @@ def load_predictor(run_dir) -> tuple[Predictor, RunConfig, ChannelStats | None]:
     return predictor, config, stats
 
 
+def _report(predictor: Predictor, size: int, probs, config: RunConfig,
+            test: Dataset, elapsed: float) -> MetricsReport:
+    """Scores of ``probs``, the average of the first ``size`` members."""
+    batch = M.EvalBatch(probs, test.labels)
+    temperatures = predictor.temperatures
+    return MetricsReport(
+        variant=predictor.kind,
+        ensemble_size=size,
+        seed=config.seed,
+        accuracy=M.accuracy(batch),
+        nll=M.nll(batch),
+        ece=M.ece(batch),
+        brier=M.brier(batch),
+        temperatures=None if temperatures is None else temperatures[:size],
+        wall_clock_seconds=elapsed,
+        config=dataclasses.asdict(config),
+    )
+
+
 def evaluate_predictor(predictor: Predictor, config: RunConfig,
                        stats: ChannelStats | None, test: Dataset) -> MetricsReport:
     start = time.perf_counter()
     if stats is not None:
         test = standardize(test, stats)
     probs = predictor.probabilities(test.images)
-    batch = M.EvalBatch(probs, test.labels)
-    elapsed = time.perf_counter() - start
-    return MetricsReport(
-        variant=predictor.kind,
-        ensemble_size=predictor.ensemble_size,
-        seed=config.seed,
-        accuracy=M.accuracy(batch),
-        nll=M.nll(batch),
-        ece=M.ece(batch),
-        brier=M.brier(batch),
-        temperatures=predictor.temperatures,
-        wall_clock_seconds=elapsed,
-        config=dataclasses.asdict(config),
-    )
+    return _report(predictor, predictor.ensemble_size, probs, config, test,
+                   time.perf_counter() - start)
 
 
 def run_evaluate(run_dir) -> MetricsReport:
@@ -509,17 +525,28 @@ def run_evaluate(run_dir) -> MetricsReport:
 
 def sweep_ensemble(config: RunConfig, max_size: int | None = None
                    ) -> list[MetricsReport]:
-    """Deep-ensemble size sweep 1..M from a single trained member pool."""
+    """Deep-ensemble size sweep 1..M from a single trained member pool.
+
+    Each member is evaluated once; the size-k report scores the average
+    of the first k members' rows, and its ``wall_clock_seconds`` is the
+    shared evaluation of all M members plus that average."""
     config = dataclasses.replace(
         config, strategy="deep",
-        ensemble_size=max_size or config.ensemble_size,
+        ensemble_size=config.ensemble_size if max_size is None else max_size,
     )
     result = run_train(config)
     _, test = build_datasets(config)
+    start = time.perf_counter()
+    if result.stats is not None:
+        test = standardize(test, result.stats)
+    member_probs = result.predictor.member_probabilities(test.images)
+    shared = time.perf_counter() - start
     reports = []
-    for size in range(1, len(result.predictor.members) + 1):
-        sub = result.predictor.restricted(size)
-        reports.append(evaluate_predictor(sub, config, result.stats, test))
+    for size in range(1, len(member_probs) + 1):
+        start = time.perf_counter()
+        probs = ensemble_average(member_probs[:size])
+        reports.append(_report(result.predictor, size, probs, config, test,
+                               shared + time.perf_counter() - start))
     return reports
 
 

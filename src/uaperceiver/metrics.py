@@ -26,14 +26,10 @@ DEFAULT_BINS = 15
 
 @dataclass(frozen=True)
 class EvalBatch:
-    """Per-sample class probabilities and integer labels.
-
-    ``logits`` are optional and only needed for temperature fitting.
-    """
+    """Per-sample class probabilities and integer labels."""
 
     probs: np.ndarray  # n x K, rows sum to 1
     labels: np.ndarray  # n ints in [0, K)
-    logits: np.ndarray | None = None
 
     def __post_init__(self):
         p = np.asarray(self.probs, dtype=np.float64)
@@ -48,11 +44,6 @@ class EvalBatch:
             raise UsageError("labels out of class range")
         if np.abs(p.sum(axis=1) - 1.0).max() > 1e-9:
             raise NumericError("probability rows must sum to 1 within 1e-9")
-        if self.logits is not None:
-            l = np.asarray(self.logits, dtype=np.float64)
-            object.__setattr__(self, "logits", l)
-            if l.shape != p.shape:
-                raise DimensionError("logits must match probs shape")
 
     @property
     def num_classes(self) -> int:
@@ -60,7 +51,7 @@ class EvalBatch:
 
     @classmethod
     def from_logits(cls, logits, labels) -> "EvalBatch":
-        return cls(softmax_rows(logits), labels, logits=np.asarray(logits, float))
+        return cls(softmax_rows(logits), labels)
 
 
 def softmax_rows(logits) -> np.ndarray:

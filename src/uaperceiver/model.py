@@ -14,7 +14,7 @@ parameter count independent of depth.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -382,7 +382,3 @@ def batch_loss(config: PerceiverConfig, params: ParamStore, images, labels):
     if labels.size == 0:
         raise UsageError("batch_loss called with an empty batch")
     return T.cross_entropy(perceiver_forward(config, params, images), labels)
-
-
-def config_to_dict(config: PerceiverConfig) -> dict:
-    return {f.name: getattr(config, f.name) for f in fields(config)}

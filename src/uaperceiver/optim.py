@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, NumericError
+from .errors import DimensionError, NumericError, RangeError
 from .params import ParamStore
 
 
@@ -16,6 +16,15 @@ class AdamWSettings:
     beta2: float = 0.999
     eps: float = 1e-8
     weight_decay: float = 0.01
+
+    def __post_init__(self):
+        for name, beta in (("beta1", self.beta1), ("beta2", self.beta2)):
+            if not 0.0 <= beta < 1.0:
+                raise RangeError(f"{name} must lie in [0, 1), got {beta}")
+        if not self.eps > 0.0:
+            raise RangeError(f"eps must be > 0, got {self.eps}")
+        if not self.weight_decay >= 0.0:
+            raise RangeError(f"weight_decay must be >= 0, got {self.weight_decay}")
 
 
 class AdamWState:

@@ -36,10 +36,12 @@ class LRSchedule:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise UsageError(f"unknown schedule kind {self.kind!r}")
-        if self.alpha1 < 0 or self.alpha2 < 0:
-            raise UsageError("learning rates must be >= 0")
+        if not all(0 <= rate < math.inf for rate in (self.alpha1, self.alpha2)):
+            raise UsageError(f"learning rates must be finite and >= 0, got "
+                             f"{self.alpha1} and {self.alpha2}")
         if self.alpha2 > self.alpha1:
-            raise UsageError("alpha2 must not exceed alpha1")
+            raise UsageError(f"low rate {self.alpha2} exceeds the initial rate "
+                             f"{self.alpha1}")
         if not (self.total_steps >= self.cycles_or_c >= 1):
             raise UsageError(
                 f"need total_steps >= cycles_or_c >= 1, got "

@@ -19,7 +19,6 @@ bit-reproducible in isolation.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,8 +70,8 @@ class Predictor:
     def ensemble_size(self) -> int:
         return len(self.members)
 
-    def probabilities(self, images) -> np.ndarray:
-        """n x K probability rows, averaged over members."""
+    def member_probabilities(self, images) -> list[np.ndarray]:
+        """One n x K block of probability rows per member, in member order."""
         images = np.asarray(images, dtype=np.float64)
         if images.ndim == 3:
             images = images[None]
@@ -90,17 +89,11 @@ class Predictor:
                     logits = logits / self.temperatures[j]
                 probs = softmax_rows(logits)
             member_probs.append(probs)
-        return ensemble_average(member_probs)
+        return member_probs
 
-    def restricted(self, size: int) -> "Predictor":
-        """First ``size`` members only (ensemble-size sweeps)."""
-        if not (1 <= size <= len(self.members)):
-            raise UsageError(f"ensemble size {size} outside [1, {len(self.members)}]")
-        out = copy.copy(self)
-        out.members = self.members[:size]
-        if self.temperatures is not None:
-            out.temperatures = self.temperatures[:size]
-        return out
+    def probabilities(self, images) -> np.ndarray:
+        """n x K probability rows, averaged over members."""
+        return ensemble_average(self.member_probabilities(images))
 
 
 def ensemble_average(member_probs) -> np.ndarray:
@@ -250,24 +243,10 @@ def swa_train(
     return Predictor("swa", config, [averaged["store"]]), log
 
 
-def snapshot_train(
-    config: PerceiverConfig,
-    seed: int,
-    dataset: Dataset,
-    total_steps: int,
-    num_snapshots: int,
-    initial_lr: float,
-    settings: TrainSettings = TrainSettings(),
-    average_last: int | None = None,
-) -> tuple[Predictor, TrainRunLog]:
-    """Single run under cosine restarts; weights are captured at the last
-    step of each cycle (the per-cycle LR minimum). Only the last
-    ``average_last`` captures (all, by default) become members, whose
-    softmax outputs prediction averages."""
-    schedule = LRSchedule("snapshot_cosine", initial_lr, 0.0, total_steps,
-                          num_snapshots)
-    params = init_params(config, derive_seed(seed, 1))
-    members: list[ParamStore] = []
+def _train_capturing(config, params, dataset, schedule, seed, settings,
+                     members: list[ParamStore]) -> TrainRunLog:
+    """``train_model`` that appends a frozen copy of the weights to
+    ``members`` at the last step of every schedule cycle."""
     targets = set(capture_steps(schedule))
 
     def on_step(t, current, log):
@@ -275,8 +254,25 @@ def snapshot_train(
             members.append(current.detached())
             log.captures.append((t, len(members) - 1))
 
-    log = train_model(config, params, dataset, schedule, derive_seed(seed, 2),
-                      settings, on_step)
+    return train_model(config, params, dataset, schedule, seed, settings, on_step)
+
+
+def snapshot_train(
+    config: PerceiverConfig,
+    seed: int,
+    dataset: Dataset,
+    schedule: LRSchedule,
+    settings: TrainSettings = TrainSettings(),
+    average_last: int | None = None,
+) -> tuple[Predictor, TrainRunLog]:
+    """Single run from a fresh init; weights are captured at the last
+    step of each schedule cycle (the per-cycle LR minimum of cosine
+    restarts). Only the last ``average_last`` captures (all, by default)
+    become members, whose softmax outputs prediction averages."""
+    params = init_params(config, derive_seed(seed, 1))
+    members: list[ParamStore] = []
+    log = _train_capturing(config, params, dataset, schedule,
+                           derive_seed(seed, 2), settings, members)
     if average_last:
         members = members[-average_last:]
     return Predictor("snapshot", config, members), log
@@ -286,29 +282,17 @@ def fast_train(
     config: PerceiverConfig,
     pretrained: ParamStore,
     dataset: Dataset,
+    schedule: LRSchedule,
     seed: int,
-    cycles: int = 4,
-    alpha1: float = 5e-6,
-    alpha2: float = 5e-7,
-    steps_per_cycle: int = 5,
     settings: TrainSettings = TrainSettings(),
 ) -> tuple[Predictor, TrainRunLog]:
-    """Cyclic-LR collection started from a trained solution; the starting
-    weights participate as member 0."""
-    if cycles < 1:
-        raise UsageError(f"cycles must be >= 1, got {cycles}")
-    schedule = LRSchedule("fast_cyclic", alpha1, alpha2,
-                          cycles * steps_per_cycle, cycles)
+    """Cyclic-LR collection started from a trained solution, capturing at
+    the end of every schedule cycle; the starting weights participate as
+    member 0."""
     params = pretrained.copy(requires_grad=True)
     members: list[ParamStore] = [pretrained.detached()]
-    targets = set(capture_steps(schedule))
-
-    def on_step(t, current, log):
-        if t in targets:
-            members.append(current.detached())
-            log.captures.append((t, len(members) - 1))
-
-    log = train_model(config, params, dataset, schedule, seed, settings, on_step)
+    log = _train_capturing(config, params, dataset, schedule, seed, settings,
+                           members)
     return Predictor("fast", config, members), log
 
 
@@ -343,15 +327,3 @@ def mc_predict(config: PerceiverConfig, params: ParamStore, image,
     # axis-0 sums add the rows in sample order
     return probs.sum(axis=0) / num_samples
 
-
-def bezier_point(w0: ParamStore, w1: ParamStore, control: ParamStore,
-                 t: float) -> ParamStore:
-    """Quadratic Bezier evaluation between two weight-space points; a
-    diagnostic for inspecting low-loss connecting curves."""
-    if not (0.0 <= t <= 1.0):
-        raise RangeError(f"t must lie in [0, 1], got {t}")
-    w0.check_compatible(w1)
-    w0.check_compatible(control)
-    a, b, c = (1.0 - t) ** 2, 2.0 * t * (1.0 - t), t ** 2
-    mid = w0.map2(control, lambda x, y: a * x + b * y)
-    return mid.map2(w1, lambda x, y: x + c * y)

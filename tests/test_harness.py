@@ -14,6 +14,7 @@ from uaperceiver.cli import main
 from uaperceiver.errors import ConfigError, FormatError, UAPError
 from uaperceiver.harness import (
     CHECKPOINT_MAGIC,
+    STRATEGIES,
     build_datasets,
     config_echo,
     evaluate_predictor,
@@ -157,10 +158,26 @@ def test_model_config_is_the_model_prefix():
     ("strategy = fast\nfast_cycles = 0\n", "fast_cycles"),
     ("strategy = swa\npretrain_steps = 0\n", "pretrain_steps"),
     ("strategy = mc\nmc_delta = 1.5\n", "mc_delta"),
+    ("strategy = snapshot\nsnapshot_cycles = 3\nsnapshot_last = -1\n",
+     "snapshot_last"),
+    ("synth_noise = -1\n", "synth_noise"),
+    ("beta2 = 1.5\n", "beta2"),
+    ("beta1 = -0.5\n", "beta1"),
+    ("beta1 = 1\n", "beta1"),
+    ("adam_eps = 0\n", "eps"),
+    ("weight_decay = -0.1\n", "weight_decay"),
+    ("learning_rate = nan\n", "learning rates"),
+    ("strategy = fast\nlearning_rate = 1e-4\nfast_lr_low = 1e-3\n",
+     "strategy fast"),
+    *[(f"strategy = {strategy}\nlearning_rate = -1e-3\n", "learning rates")
+      for strategy in STRATEGIES],
 ], ids=["heads", "swa-cycle", "snapshot-cycles", "mc-samples", "heads-zero",
         "byte-dim", "channels", "num-bands", "num-classes", "batch-size",
         "train-steps", "synth-train", "synth-test", "ensemble-size",
-        "fast-cycles", "pretrain-steps", "mc-delta"])
+        "fast-cycles", "pretrain-steps", "mc-delta", "snapshot-last",
+        "synth-noise", "beta2", "beta1-negative", "beta1-one", "adam-eps",
+        "weight-decay", "nan-lr", "fast-lr-low",
+        *[f"negative-lr-{strategy}" for strategy in STRATEGIES]])
 def test_parse_rejects_inconsistent_config(text, match):
     with pytest.raises(ConfigError, match=match):
         ua.parse_config(text)
@@ -170,7 +187,8 @@ def test_strategy_constraints_only_for_configured_strategy():
     config = ua.parse_config("swa_steps = 4\nswa_cycle = 5\ntrain_steps = 1\n"
                              "snapshot_cycles = 4\nmc_samples = 0\n"
                              "ensemble_size = 0\nfast_cycles = 0\n"
-                             "pretrain_steps = 0\nmc_delta = 1.5\n")
+                             "pretrain_steps = 0\nmc_delta = 1.5\n"
+                             "snapshot_last = -1\nfast_lr_low = 1\n")
     assert config.strategy == "single"
 
 
@@ -449,6 +467,46 @@ def test_sweep_ensemble_sizes(tmp_path):
     reports = ua.sweep_ensemble(config, max_size=3)
     assert [r.ensemble_size for r in reports] == [1, 2, 3]
     assert all(r.variant in ("single", "deep_ensemble") for r in reports)
+    with pytest.raises(ConfigError, match="ensemble_size"):
+        ua.sweep_ensemble(config, max_size=0)
+
+
+def test_sweep_rows_equal_prefix_predictors(tmp_path):
+    """Row k scores exactly what a predictor of the first k members and
+    their temperatures scores."""
+    config = tiny_run_config(tmp_path, train_steps=2)
+    reports = ua.sweep_ensemble(config, max_size=3)
+    predictor, loaded, stats = load_predictor(tmp_path)
+    _, test = build_datasets(loaded)
+    fields = ("variant", "ensemble_size", "accuracy", "nll", "ece", "brier",
+              "temperatures")
+    for size, report in enumerate(reports, 1):
+        prefix = ua.Predictor(predictor.kind, predictor.config,
+                              predictor.members[:size],
+                              temperatures=predictor.temperatures[:size])
+        expected = evaluate_predictor(prefix, loaded, stats, test)
+        assert ([getattr(report, f) for f in fields]
+                == [getattr(expected, f) for f in fields])
+
+
+def test_sweep_evaluates_each_member_once(tmp_path, monkeypatch):
+    from uaperceiver import strategies
+    from uaperceiver.data import split_calibration
+
+    rows = []
+    forward = strategies.forward_logits
+
+    def counting(config, params, images):
+        logits = forward(config, params, images)
+        rows.append(len(logits))
+        return logits
+
+    monkeypatch.setattr(strategies, "forward_logits", counting)
+    config = tiny_run_config(tmp_path, train_steps=2)
+    ua.sweep_ensemble(config, max_size=3)
+    train, test = build_datasets(config)
+    calibration = len(split_calibration(train, 0)[1])
+    assert sum(rows) == 3 * (calibration + len(test))
 
 
 def test_cifar_run_requires_paths():

@@ -13,7 +13,6 @@ from uaperceiver.model import (
     FORWARD_CHUNK,
     LN_EPS,
     batch_loss,
-    config_to_dict,
     score_counter,
 )
 
@@ -451,8 +450,3 @@ def test_config_validation():
                         ("num_bands", 0), ("num_classes", 1)):
         with pytest.raises(ConfigError, match=f"{name} must be >="):
             ua.PerceiverConfig(**{name: value})
-
-
-def test_config_to_dict_roundtrip(tiny_config):
-    d = config_to_dict(tiny_config)
-    assert ua.PerceiverConfig(**d) == tiny_config

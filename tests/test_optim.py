@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from uaperceiver import Tensor
-from uaperceiver.errors import NumericError
+from uaperceiver.errors import NumericError, RangeError
 from uaperceiver.optim import AdamWSettings, AdamWState, adamw_step, collect_grads
 from uaperceiver.params import ParamStore
 
@@ -13,6 +13,15 @@ def store_with(name, values):
     s = ParamStore()
     s.add(name, Tensor(np.asarray(values, dtype=np.float64), requires_grad=True))
     return s
+
+
+@pytest.mark.parametrize("fields", [
+    dict(beta1=-0.5), dict(beta1=1.0), dict(beta2=1.5), dict(eps=0.0),
+    dict(weight_decay=-0.1), dict(beta1=float("nan")),
+])
+def test_settings_reject_out_of_range(fields):
+    with pytest.raises(RangeError, match=next(iter(fields))):
+        AdamWSettings(**fields)
 
 
 def test_zero_grad_zero_decay_is_noop():

@@ -1,5 +1,5 @@
 """Training strategies: member independence, weight averaging, capture
-placement, MC dropout, and weight-space interpolation."""
+placement and MC dropout."""
 
 import numpy as np
 import pytest
@@ -65,17 +65,6 @@ def test_predictor_rows_sum_to_one(tiny_config, tiny_dataset):
     probs = predictor.probabilities(tiny_dataset.images[:6])
     assert probs.shape == (6, 3)
     np.testing.assert_allclose(probs.sum(axis=1), np.ones(6), atol=1e-12)
-
-
-def test_predictor_restricted(tiny_config, tiny_dataset):
-    predictor, _ = ua.deep_ensemble_train(
-        tiny_config, 3, 5, tiny_dataset, constant(2), FAST
-    )
-    sub = predictor.restricted(2)
-    assert sub.ensemble_size == 2
-    assert sub.members[0] is predictor.members[0]
-    with pytest.raises(UsageError):
-        predictor.restricted(4)
 
 
 # ---- ensemble averaging ----------------------------------------------
@@ -179,20 +168,15 @@ def test_swa_requires_swa_schedule(tiny_config, tiny_dataset):
 
 
 def test_snapshot_capture_count_and_steps(tiny_config, tiny_dataset):
-    predictor, log = ua.snapshot_train(
-        tiny_config, 4, tiny_dataset, total_steps=8, num_snapshots=4,
-        initial_lr=1e-3, settings=FAST,
-    )
+    schedule = ua.LRSchedule("snapshot_cosine", 1e-3, 0.0, 8, 4)
+    predictor, log = ua.snapshot_train(tiny_config, 4, tiny_dataset, schedule, FAST)
     assert len(predictor.members) == 4
     assert [t for t, _ in log.captures] == [2, 4, 6, 8]
 
 
 def test_snapshot_lr_at_captures_is_cycle_minimum(tiny_config, tiny_dataset):
-    _, log = ua.snapshot_train(
-        tiny_config, 4, tiny_dataset, total_steps=8, num_snapshots=2,
-        initial_lr=1e-3, settings=FAST,
-    )
     schedule = ua.LRSchedule("snapshot_cosine", 1e-3, 0.0, 8, 2)
+    _, log = ua.snapshot_train(tiny_config, 4, tiny_dataset, schedule, FAST)
     c = schedule.cycle_length
     lrs = {t: lr for t, lr, _ in log.steps}
     for t, _ in log.captures:
@@ -201,11 +185,10 @@ def test_snapshot_lr_at_captures_is_cycle_minimum(tiny_config, tiny_dataset):
 
 def test_snapshot_average_last(tiny_config, tiny_dataset):
     """average_last=m keeps exactly the last m captures of the full run."""
+    schedule = ua.LRSchedule("snapshot_cosine", 1e-3, 0.0, 8, 4)
     runs = [
-        ua.snapshot_train(
-            tiny_config, 4, tiny_dataset, total_steps=8, num_snapshots=4,
-            initial_lr=1e-3, settings=FAST, average_last=last,
-        )[0]
+        ua.snapshot_train(tiny_config, 4, tiny_dataset, schedule, FAST,
+                          average_last=last)[0]
         for last in (2, None)
     ]
     last_two, every = runs
@@ -221,10 +204,8 @@ def test_snapshot_average_last(tiny_config, tiny_dataset):
 
 def test_fast_member_count(tiny_config, tiny_dataset):
     pre = init_params(tiny_config, 5).detached()
-    predictor, log = ua.fast_train(
-        tiny_config, pre, tiny_dataset, 6, cycles=3, alpha1=1e-3, alpha2=1e-4,
-        steps_per_cycle=2, settings=FAST,
-    )
+    schedule = ua.LRSchedule("fast_cyclic", 1e-3, 1e-4, 6, 3)
+    predictor, log = ua.fast_train(tiny_config, pre, tiny_dataset, schedule, 6, FAST)
     assert len(predictor.members) == 4  # starting weights + one per cycle
     assert predictor.members[0].allclose(pre)
     assert [t for t, _ in log.captures] == [2, 4, 6]
@@ -232,21 +213,16 @@ def test_fast_member_count(tiny_config, tiny_dataset):
 
 def test_fast_zero_lr_members_all_equal_start(tiny_config, tiny_dataset):
     pre = init_params(tiny_config, 6).detached()
-    predictor, _ = ua.fast_train(
-        tiny_config, pre, tiny_dataset, 6, cycles=2, alpha1=0.0, alpha2=0.0,
-        steps_per_cycle=2, settings=FAST,
-    )
+    schedule = ua.LRSchedule("fast_cyclic", 0.0, 0.0, 4, 2)
+    predictor, _ = ua.fast_train(tiny_config, pre, tiny_dataset, schedule, 6, FAST)
     for member in predictor.members:
         assert member.allclose(pre)
 
 
 def test_fast_lr_trace_matches_closed_form(tiny_config, tiny_dataset):
     pre = init_params(tiny_config, 7).detached()
-    _, log = ua.fast_train(
-        tiny_config, pre, tiny_dataset, 8, cycles=4, alpha1=5e-6, alpha2=5e-7,
-        steps_per_cycle=5, settings=FAST,
-    )
     schedule = ua.LRSchedule("fast_cyclic", 5e-6, 5e-7, 20, 4)
+    _, log = ua.fast_train(tiny_config, pre, tiny_dataset, schedule, 8, FAST)
     for t, lr, _ in log.steps:
         assert lr == ua.lr_at(schedule, t)
 
@@ -339,41 +315,6 @@ def test_mc_predictor_rejects_bad_combinations(tiny_config):
     with pytest.raises(UsageError):
         ua.Predictor("mc_dropout", tiny_config, [params], temperatures=[1.0],
                      mc_delta=0.2, mc_samples=2)
-
-
-# ---- bezier ----------------------------------------------------------
-
-
-def scalar_stores():
-    from uaperceiver import Tensor
-    from uaperceiver.params import ParamStore
-
-    def make(v):
-        s = ParamStore()
-        s.add("x", Tensor(np.array([v])))
-        return s
-
-    return make(1.0), make(5.0), make(2.0)
-
-
-def test_bezier_endpoints():
-    w0, w1, theta = scalar_stores()
-    assert ua.bezier_point(w0, w1, theta, 0.0).allclose(w0)
-    assert ua.bezier_point(w0, w1, theta, 1.0).allclose(w1)
-
-
-def test_bezier_midpoint_closed_form():
-    w0, w1, theta = scalar_stores()
-    mid = ua.bezier_point(w0, w1, theta, 0.5)
-    np.testing.assert_allclose(
-        mid["x"].data, 0.25 * 1.0 + 0.5 * 2.0 + 0.25 * 5.0, atol=1e-15
-    )
-
-
-def test_bezier_rejects_bad_t():
-    w0, w1, theta = scalar_stores()
-    with pytest.raises(RangeError):
-        ua.bezier_point(w0, w1, theta, 1.5)
 
 
 # ---- shared training loop -------------------------------------------
