@@ -31,7 +31,7 @@ from .data import (
 )
 from .errors import (CompatibilityError, ConfigError, FormatError, RangeError,
                      UsageError)
-from .model import PerceiverConfig
+from .model import PerceiverConfig, init_params
 from .optim import AdamWSettings
 from .params import ParamStore
 from .rng import derive_seed
@@ -454,6 +454,23 @@ def read_json(path):
         raise FormatError(f"{path}: not valid JSON ({exc})") from None
 
 
+def _check_member(fname: str, store: ParamStore, expected: dict) -> None:
+    """CompatibilityError naming the first tensor of ``store`` that is
+    missing, extra or shaped unlike ``expected`` (name -> shape)."""
+    shapes = {name: t.shape for name, t in store.items()}
+    for name in [*expected, *sorted(shapes.keys() - expected.keys())]:
+        found, needed = shapes.get(name), expected.get(name)
+        if found == needed:
+            continue
+        if found is None:
+            problem = f"is missing (config needs shape {needed})"
+        elif needed is None:
+            problem = "is not a parameter of the config"
+        else:
+            problem = f"has shape {found}, config needs {needed}"
+        raise CompatibilityError(f"{fname}: tensor {name!r} {problem}")
+
+
 def load_predictor(run_dir) -> tuple[Predictor, RunConfig, ChannelStats | None]:
     run_dir = Path(run_dir)
     manifest = read_json(run_dir / "predictor.json")
@@ -479,7 +496,11 @@ def load_predictor(run_dir) -> tuple[Predictor, RunConfig, ChannelStats | None]:
             raise CompatibilityError(f"{fname}: config echo differs between members")
         members.append(store)
     config = parse_config(echo)
-    predictor = Predictor(config=config.model_config(), members=members, **fields)
+    model_config = config.model_config()
+    expected = {name: t.shape for name, t in init_params(model_config, 0).items()}
+    for fname, store in zip(files, members):
+        _check_member(fname, store, expected)
+    predictor = Predictor(config=model_config, members=members, **fields)
     stats = None
     if manifest["stats_mean"] is not None:
         stats = ChannelStats(np.array(manifest["stats_mean"]),

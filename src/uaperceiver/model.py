@@ -82,6 +82,10 @@ class PerceiverConfig:
             )
         if self.pos_encoding not in ("fourier", "learnable"):
             raise ConfigError(f"unknown pos_encoding {self.pos_encoding!r}")
+        if not 0 <= self.max_frequency < math.inf:
+            raise ConfigError(
+                f"max_frequency must be finite and >= 0, got {self.max_frequency}"
+            )
 
     def _at_least(self, low: int, *names: str) -> None:
         """ConfigError for the first of the named fields below ``low``."""
@@ -299,21 +303,25 @@ def _multihead_attention(q, k, v, heads: int, kind: str):
 
 
 def cross_attention(latent, bytes_mat, params: ParamStore, config: PerceiverConfig,
-                    group: str):
+                    group: str, kv_cache: dict | None = None):
     """Latents query the byte array: Q from latents, K/V from bytes.
 
     Pre-norm; residual back onto the latents. The score matrix has
-    heads * N * M entries.
+    heads * N * M entries. ``kv_cache`` holds each group's byte-side K/V
+    for one forward over one byte array, so a group shared across
+    repeats computes them once.
     """
+    kv_cache = {} if kv_cache is None else kv_cache
+    if group not in kv_cache:
+        kv_in = T.layer_norm(bytes_mat, params[f"{group}.ln_kv.gamma"],
+                             params[f"{group}.ln_kv.beta"], LN_EPS)
+        kv_cache[group] = (_linear(kv_in, params, f"{group}.k"),
+                           _linear(kv_in, params, f"{group}.v"))
+    k, v = kv_cache[group]
     q_in = T.layer_norm(
         latent, params[f"{group}.ln_q.gamma"], params[f"{group}.ln_q.beta"], LN_EPS
     )
-    kv_in = T.layer_norm(
-        bytes_mat, params[f"{group}.ln_kv.gamma"], params[f"{group}.ln_kv.beta"], LN_EPS
-    )
     q = _linear(q_in, params, f"{group}.q")
-    k = _linear(kv_in, params, f"{group}.k")
-    v = _linear(kv_in, params, f"{group}.v")
     attended = _multihead_attention(q, k, v, config.heads, "cross")
     return T.add(latent, _linear(attended, params, f"{group}.out"))
 
@@ -347,9 +355,10 @@ def perceiver_forward(config: PerceiverConfig, params: ParamStore, images):
     try:
         bytes_mat = build_byte_array(images, config, params)
         latent = params["latent.init"]
+        kv_cache: dict = {}
         for r in range(config.depth_repeats):
             latent = cross_attention(
-                latent, bytes_mat, params, config, _cross_group(config, r)
+                latent, bytes_mat, params, config, _cross_group(config, r), kv_cache
             )
             tg = _tower_group(config, r)
             for l in range(config.tower_layers):

@@ -245,12 +245,12 @@ def gelu(x: Tensor) -> Tensor:
     """GELU with the tanh approximation (GPT-2 convention)."""
     x = as_tensor(x)
     v = x.data
-    inner = _GELU_C * (v + _GELU_A * v ** 3)
+    inner = _GELU_C * (v + _GELU_A * (v * v * v))
     t = np.tanh(inner)
     data = 0.5 * v * (1.0 + t)
 
     def backward(g):
-        du = _GELU_C * (1.0 + 3.0 * _GELU_A * v ** 2)
+        du = _GELU_C * (1.0 + 3.0 * _GELU_A * (v * v))
         local = 0.5 * (1.0 + t) + 0.5 * v * (1.0 - t ** 2) * du
         return ((x, g * local),)
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import uaperceiver as ua
 from uaperceiver.cli import main
-from uaperceiver.errors import ConfigError, FormatError, UAPError
+from uaperceiver.errors import CompatibilityError, ConfigError, FormatError, UAPError
 from uaperceiver.harness import (
     CHECKPOINT_MAGIC,
     STRATEGIES,
@@ -171,13 +171,17 @@ def test_model_config_is_the_model_prefix():
      "strategy fast"),
     *[(f"strategy = {strategy}\nlearning_rate = -1e-3\n", "learning rates")
       for strategy in STRATEGIES],
+    ("max_frequency = nan\n", "max_frequency"),
+    ("max_frequency = -5\n", "max_frequency"),
+    ("max_frequency = inf\n", "max_frequency"),
 ], ids=["heads", "swa-cycle", "snapshot-cycles", "mc-samples", "heads-zero",
         "byte-dim", "channels", "num-bands", "num-classes", "batch-size",
         "train-steps", "synth-train", "synth-test", "ensemble-size",
         "fast-cycles", "pretrain-steps", "mc-delta", "snapshot-last",
         "synth-noise", "beta2", "beta1-negative", "beta1-one", "adam-eps",
         "weight-decay", "nan-lr", "fast-lr-low",
-        *[f"negative-lr-{strategy}" for strategy in STRATEGIES]])
+        *[f"negative-lr-{strategy}" for strategy in STRATEGIES],
+        "max-frequency-nan", "max-frequency-negative", "max-frequency-inf"])
 def test_parse_rejects_inconsistent_config(text, match):
     with pytest.raises(ConfigError, match=match):
         ua.parse_config(text)
@@ -637,6 +641,38 @@ def test_cli_train_rejects_config_before_creating_out_dir(tmp_path, capsys):
     assert main(["train", "--config", str(cfg), "--out-dir", str(out)]) == 2
     assert "config error" in capsys.readouterr().err
     assert not out.exists()
+
+
+def resave_member(run_dir, edit):
+    """Rewrite member 0 with ``edit`` applied to its name -> array dict."""
+    path = run_dir / "member_000.ckpt"
+    store, echo = ua.load_checkpoint(path)
+    arrays = edit({name: t.data for name, t in store.items()})
+    edited = ua.ParamStore()
+    for name, data in arrays.items():
+        edited.add(name, ua.Tensor(data))
+    ua.save_checkpoint(path, edited, echo)
+
+
+@pytest.mark.parametrize("edit, match", [
+    (lambda a: {**a, "head.w": a["head.w"][:, :1]},
+     r"'head.w' has shape \(4, 1\), config needs \(4, 3\)"),
+    (lambda a: {k: v for k, v in a.items() if k != "head.b"}, "'head.b' is missing"),
+    (lambda a: {**a, "head.scale": np.ones(3)}, "'head.scale' is not a parameter"),
+], ids=["reshaped", "missing", "extra"])
+def test_load_predictor_checks_member_tensors(tmp_path, edit, match):
+    ua.run_train(tiny_run_config(tmp_path))
+    resave_member(tmp_path, edit)
+    with pytest.raises(CompatibilityError, match="member_000.ckpt: tensor " + match):
+        ua.run_evaluate(tmp_path)
+
+
+def test_cli_evaluate_reshaped_tensor(tmp_path, capsys):
+    ua.run_train(tiny_run_config(tmp_path))
+    resave_member(tmp_path, lambda a: {**a, "head.w": a["head.w"][:, :1]})
+    assert main(["evaluate", "--run-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("compatibility error:") and "head.w" in err
 
 
 def test_cli_evaluate_truncated_checkpoint(tmp_path, capsys):

@@ -297,7 +297,30 @@ def test_forward_shared_weights_composition(tiny_config):
         latent = ua.latent_block(latent, params, tiny_config, "tower_shared", 0)
     pooled = T.mean_rows(latent)
     expected = T.add(T.matmul(pooled, params["head.w"]), params["head.b"]).data
-    np.testing.assert_allclose(out, expected, atol=1e-12)
+    np.testing.assert_array_equal(out, expected)
+
+
+@pytest.mark.parametrize("shared, expected", [(True, 1), (False, 3)],
+                         ids=["shared", "unshared"])
+def test_byte_side_norm_once_per_cross_group(monkeypatch, tiny_config, shared, expected):
+    """One forward at R = 3 normalizes the byte array once per distinct
+    cross-attend group: a shared group reuses its K/V in later repeats."""
+    import dataclasses
+
+    config = dataclasses.replace(tiny_config, depth_repeats=3,
+                                 share_cross_weights=shared)
+    params = ua.init_params(config, 3)
+    kv_gammas = [t for name, t in params.items() if name.endswith(".ln_kv.gamma")]
+    layer_norm = T.layer_norm
+    calls = []
+
+    def counting(x, gamma, beta, eps):
+        calls.append(any(gamma is g for g in kv_gammas))
+        return layer_norm(x, gamma, beta, eps)
+
+    monkeypatch.setattr(T, "layer_norm", counting)
+    ua.perceiver_forward(config, params, np.zeros((2, 4, 4, 1)))
+    assert sum(calls) == expected
 
 
 def test_forward_params_config_mismatch(tiny_config):
@@ -352,6 +375,26 @@ def test_batch_loss_gradient_fd():
     leaves = [t for _, t in params.items()]
     err = global_fd_gradcheck(
         lambda: batch_loss(config, params, images, [1, 2]), leaves, h=1e-6
+    )
+    assert err < 1e-6
+
+
+@pytest.mark.parametrize("shared", [True, False], ids=["shared", "unshared"])
+def test_batch_loss_gradient_fd_repeats(shared):
+    """R = 2: a shared cross-attend's byte-side K/V feed both repeats, so
+    their gradient is the sum over the repeats that read them."""
+    config = ua.PerceiverConfig(
+        height=2, width=2, channels=1, num_classes=3, latent_count=3,
+        latent_dim=4, byte_dim=4, num_bands=1, depth_repeats=2,
+        tower_layers=1, heads=2, share_cross_weights=shared,
+    )
+    params = ua.init_params(config, 18)
+    for _, t in params.items():
+        t.data *= 5.0
+    images = np.random.default_rng(19).random((2, 2, 2, 1))
+    leaves = [t for _, t in params.items()]
+    err = global_fd_gradcheck(
+        lambda: batch_loss(config, params, images, [0, 2]), leaves, h=1e-6
     )
     assert err < 1e-6
 
@@ -450,3 +493,7 @@ def test_config_validation():
                         ("num_bands", 0), ("num_classes", 1)):
         with pytest.raises(ConfigError, match=f"{name} must be >="):
             ua.PerceiverConfig(**{name: value})
+    for value in (math.nan, -5.0, math.inf):
+        with pytest.raises(ConfigError, match="max_frequency"):
+            ua.PerceiverConfig(max_frequency=value)
+    assert ua.PerceiverConfig(max_frequency=0.0).frequency_cap == 16.0

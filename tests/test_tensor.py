@@ -133,6 +133,15 @@ def test_gelu_reference_values():
         np.testing.assert_allclose(out.data, [expected], atol=1e-15)
 
 
+def test_gelu_matches_power_formula():
+    """The cube as a product agrees with ``v ** 3`` within a few ulps of v."""
+    v = np.linspace(-12.0, 12.0, 24001)
+    c = math.sqrt(2.0 / math.pi)
+    expected = 0.5 * v * (1.0 + np.tanh(c * (v + 0.044715 * v ** 3)))
+    out = T.gelu(T.Tensor(v)).data
+    assert np.all(np.abs(out - expected) <= 4 * np.spacing(np.abs(v)))
+
+
 def test_gelu_gradient_fd():
     x = leaf(np.linspace(-3, 3, 13))
     err = global_fd_gradcheck(lambda: T.total(T.gelu(x)), [x], h=1e-6)
