@@ -18,6 +18,8 @@ import numpy as np
 from .errors import DimensionError, FormatError, UsageError
 from .rng import derive_seed, generator, shuffled_indices
 
+CIFAR_SHAPE = (32, 32, 3)  # height, width, channels
+CIFAR_CLASSES = {"cifar10": 10, "cifar100": 100}
 CIFAR_PIXEL_BYTES = 3072  # 3 planes of 32*32
 
 
@@ -49,12 +51,10 @@ class Dataset:
 
 def load_cifar(path, variant: str) -> Dataset:
     """Parse a CIFAR binary batch file (bit-deterministic)."""
-    if variant == "cifar10":
-        label_bytes, num_classes = 1, 10
-    elif variant == "cifar100":
-        label_bytes, num_classes = 2, 100  # coarse byte then fine byte
-    else:
+    if variant not in CIFAR_CLASSES:
         raise UsageError(f"unknown CIFAR variant {variant!r}")
+    num_classes = CIFAR_CLASSES[variant]
+    label_bytes = 1 if variant == "cifar10" else 2  # cifar100: coarse, fine
     raw = Path(path).read_bytes()
     record = label_bytes + CIFAR_PIXEL_BYTES
     if len(raw) == 0 or len(raw) % record != 0:

@@ -22,6 +22,8 @@ import numpy as np
 
 from . import metrics as M
 from .data import (
+    CIFAR_CLASSES,
+    CIFAR_SHAPE,
     ChannelStats,
     Dataset,
     channel_stats,
@@ -29,8 +31,8 @@ from .data import (
     standardize,
     synth_dataset,
 )
-from .errors import (CompatibilityError, ConfigError, FormatError, RangeError,
-                     UsageError)
+from .errors import (CompatibilityError, ConfigError, DimensionError, FormatError,
+                     RangeError, UsageError)
 from .model import PerceiverConfig, init_params
 from .optim import AdamWSettings
 from .params import ParamStore
@@ -116,8 +118,16 @@ class RunConfig(PerceiverConfig):
             raise ConfigError(
                 f"strategy must be one of {STRATEGIES}, got {self.strategy!r}"
             )
-        if self.dataset not in ("synth", "cifar10", "cifar100"):
+        if self.dataset == "synth":
+            if self.width != self.height or self.height < 4:
+                raise ConfigError("synth images are square with height >= 4, got "
+                                  f"{self.height} x {self.width}")
+        elif self.dataset not in CIFAR_CLASSES:
             raise ConfigError(f"unknown dataset {self.dataset!r}")
+        elif ((self.height, self.width, self.channels, self.num_classes)
+              != (needed := (*CIFAR_SHAPE, CIFAR_CLASSES[self.dataset]))):
+            raise ConfigError(f"{self.dataset} needs height, width, channels, "
+                              f"num_classes = {needed}")
         self._at_least(1, "batch_size", "train_steps", "synth_train", "synth_test")
         self._at_least(1, *STRATEGY_COUNTS.get(self.strategy, ()))
         if self.strategy == "mc" and not 0.0 <= self.mc_delta <= 1.0:
@@ -208,7 +218,10 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
 
 
 def load_config(path, overrides: dict | None = None) -> RunConfig:
-    return parse_config(Path(path).read_text(), overrides)
+    try:
+        return parse_config(Path(path).read_text(encoding="utf-8"), overrides)
+    except UnicodeDecodeError:
+        raise ConfigError(f"{path}: config file is not UTF-8") from None
 
 
 def config_echo(config: RunConfig) -> str:
@@ -328,10 +341,6 @@ def build_datasets(config: RunConfig) -> tuple[Dataset, Dataset]:
     train = load_cifar(config.data_path, config.dataset)
     test = dataclasses.replace(load_cifar(config.test_path, config.dataset),
                                split="test")
-    model = config.model_config()
-    if (train.images.shape[1:] != (model.height, model.width, model.channels)
-            or train.num_classes != model.num_classes):
-        raise ConfigError("model dimensions do not match the CIFAR data")
     return train, test
 
 
@@ -454,30 +463,38 @@ def read_json(path):
         raise FormatError(f"{path}: not valid JSON ({exc})") from None
 
 
-def _check_member(fname: str, store: ParamStore, expected: dict) -> None:
-    """CompatibilityError naming the first tensor of ``store`` that is
-    missing, extra or shaped unlike ``expected`` (name -> shape)."""
-    shapes = {name: t.shape for name, t in store.items()}
-    for name in [*expected, *sorted(shapes.keys() - expected.keys())]:
-        found, needed = shapes.get(name), expected.get(name)
-        if found == needed:
-            continue
-        if found is None:
-            problem = f"is missing (config needs shape {needed})"
-        elif needed is None:
-            problem = "is not a parameter of the config"
-        else:
-            problem = f"has shape {found}, config needs {needed}"
-        raise CompatibilityError(f"{fname}: tensor {name!r} {problem}")
+def _numbers(value, count: int | None = None) -> bool:
+    """A list of finite JSON numbers (of ``count`` entries, if given)."""
+    return type(value) is list and count in (None, len(value)) and all(
+        type(v) in (int, float) and abs(v) <= np.finfo(float).max for v in value)
+
+
+# what each predictor.json value must be: key -> (description, test)
+_MANIFEST_TYPES = {
+    "members": ("a non-empty list of file names", lambda v: type(v) is list
+                and v != [] and all(type(f) is str for f in v)),
+    "kind": ("a string", lambda v: type(v) is str),
+    "temperatures": ("null or a list of numbers", lambda v: v is None or _numbers(v)),
+    "mc_delta": ("a finite number", lambda v: _numbers([v])),
+    "mc_samples": ("an integer", lambda v: type(v) is int),
+    "mc_seed": ("an integer", lambda v: type(v) is int),
+    "snapshot_last": ("an integer >= 0", lambda v: type(v) is int and v >= 0),
+}
 
 
 def load_predictor(run_dir) -> tuple[Predictor, RunConfig, ChannelStats | None]:
     run_dir = Path(run_dir)
-    manifest = read_json(run_dir / "predictor.json")
+    path = run_dir / "predictor.json"
+    manifest = read_json(path)
+    if not isinstance(manifest, dict):
+        raise FormatError(f"{path}: expected a JSON object")
     missing = [key for key in ("members", *MANIFEST_KEYS, "stats_mean", "stats_std")
                if key not in manifest]
     if missing:
-        raise FormatError(f"{run_dir / 'predictor.json'}: missing keys {missing}")
+        raise FormatError(f"{path}: missing keys {missing}")
+    for key, (kind, valid) in _MANIFEST_TYPES.items():
+        if key in manifest and not valid(manifest[key]):
+            raise FormatError(f"{path}: {key} must be {kind}")
     files = manifest["members"]
     fields = {key: manifest[key] for key in MANIFEST_KEYS}
     # older manifests list every snapshot and name how many to average
@@ -497,15 +514,21 @@ def load_predictor(run_dir) -> tuple[Predictor, RunConfig, ChannelStats | None]:
         members.append(store)
     config = parse_config(echo)
     model_config = config.model_config()
-    expected = {name: t.shape for name, t in init_params(model_config, 0).items()}
+    expected = init_params(model_config, 0)
     for fname, store in zip(files, members):
-        _check_member(fname, store, expected)
+        try:
+            expected.check_compatible(store)
+        except DimensionError as exc:
+            raise CompatibilityError(f"{fname}: {exc}") from None
     predictor = Predictor(config=model_config, members=members, **fields)
-    stats = None
-    if manifest["stats_mean"] is not None:
-        stats = ChannelStats(np.array(manifest["stats_mean"]),
-                             np.array(manifest["stats_std"]))
-    return predictor, config, stats
+    mean, std = manifest["stats_mean"], manifest["stats_std"]
+    if mean is None and std is None:
+        return predictor, config, None
+    if not (_numbers(mean, config.channels) and _numbers(std, config.channels)
+            and min(std) > 0):
+        raise FormatError(f"{path}: stats_mean and stats_std must both be null, or "
+                          f"lists of {config.channels} finite numbers with std > 0")
+    return predictor, config, ChannelStats(np.array(mean), np.array(std))
 
 
 def _report(predictor: Predictor, size: int, probs, config: RunConfig,

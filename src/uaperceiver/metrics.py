@@ -42,12 +42,10 @@ class EvalBatch:
             raise DimensionError("labels must be one int per probability row")
         if y.min() < 0 or y.max() >= p.shape[1]:
             raise UsageError("labels out of class range")
-        if np.abs(p.sum(axis=1) - 1.0).max() > 1e-9:
-            raise NumericError("probability rows must sum to 1 within 1e-9")
-
-    @property
-    def num_classes(self) -> int:
-        return self.probs.shape[1]
+        # a NaN or infinite entry makes its row sum fail the comparison
+        if not np.abs(p.sum(axis=1) - 1.0).max() <= 1e-9:
+            raise NumericError("probability rows must be finite and sum to 1 "
+                               "within 1e-9")
 
     @classmethod
     def from_logits(cls, logits, labels) -> "EvalBatch":
@@ -119,54 +117,34 @@ def brier(batch: EvalBatch) -> float:
 # ---- Nelder-Mead ----------------------------------------------------
 
 
-def nelder_mead(f, x0, tol: float = 1e-8, max_iters: int = 500,
-                initial_step: float = 0.25) -> np.ndarray:
-    """Downhill simplex with the classic 1 / 2 / 0.5 / 0.5 coefficients.
-
-    Stops when every vertex is within ``tol`` (max-norm) of the best
-    vertex, or after ``max_iters`` iterations.
-    """
-    x0 = np.atleast_1d(np.asarray(x0, dtype=np.float64))
-    d = x0.size
-    simplex = [x0.copy()]
-    for i in range(d):
-        v = x0.copy()
-        v[i] += initial_step if v[i] == 0.0 else initial_step * max(1.0, abs(v[i]))
-        simplex.append(v)
-    values = [float(f(v)) for v in simplex]
-    if not all(np.isfinite(values)):
+def nelder_mead(f, x0: float, tol: float = 1e-8, max_iters: int = 500,
+                initial_step: float = 0.25) -> float:
+    """One-dimensional downhill simplex: two vertices, reflection 1,
+    expansion 2, contraction 0.5. A contraction is always taken, since a
+    shrink toward the best vertex lands on the same point in one
+    dimension. Stops when the vertices are within ``tol``, or after
+    ``max_iters`` iterations."""
+    best = float(x0)
+    worst = best + initial_step * max(1.0, abs(best))
+    f_best, f_worst = float(f(best)), float(f(worst))
+    if not (np.isfinite(f_best) and np.isfinite(f_worst)):
         raise NumericError("objective non-finite on the initial simplex")
 
     for _ in range(max_iters):
-        order = np.argsort(values, kind="stable")
-        simplex = [simplex[i] for i in order]
-        values = [values[i] for i in order]
-        if max(np.max(np.abs(v - simplex[0])) for v in simplex[1:]) < tol:
+        if f_worst < f_best:
+            best, worst, f_best, f_worst = worst, best, f_worst, f_best
+        if abs(worst - best) < tol:
             break
-        centroid = np.mean(simplex[:-1], axis=0)
-        worst = simplex[-1]
-        reflected = centroid + (centroid - worst)
+        reflected = best + (best - worst)
         fr = float(f(reflected))
-        if fr < values[0]:
-            expanded = centroid + 2.0 * (centroid - worst)
+        if fr < f_best:
+            expanded = best + 2.0 * (best - worst)
             fe = float(f(expanded))
-            if fe < fr:
-                simplex[-1], values[-1] = expanded, fe
-            else:
-                simplex[-1], values[-1] = reflected, fr
-        elif fr < values[-2]:
-            simplex[-1], values[-1] = reflected, fr
+            worst, f_worst = (expanded, fe) if fe < fr else (reflected, fr)
         else:
-            contracted = centroid + 0.5 * (worst - centroid)
-            fc = float(f(contracted))
-            if fc < values[-1]:
-                simplex[-1], values[-1] = contracted, fc
-            else:  # shrink toward the best vertex
-                for i in range(1, len(simplex)):
-                    simplex[i] = simplex[0] + 0.5 * (simplex[i] - simplex[0])
-                    values[i] = float(f(simplex[i]))
-    best = int(np.argmin(values))
-    return simplex[best]
+            worst = best + 0.5 * (worst - best)
+            f_worst = float(f(worst))
+    return worst if f_worst < f_best else best
 
 
 def nll_from_logits(logits, labels) -> float:
@@ -184,10 +162,10 @@ def temperature_scale(logits, labels) -> tuple[float, np.ndarray]:
     labels = np.asarray(labels, dtype=np.int64)
 
     def objective(z):
-        return nll_from_logits(logits / np.exp(float(z[0])), labels)
+        return nll_from_logits(logits / np.exp(z), labels)
 
-    z_star = nelder_mead(objective, np.zeros(1), tol=1e-10, max_iters=200)
-    t_star = float(np.exp(z_star[0]))
+    z_star = nelder_mead(objective, 0.0, tol=1e-10, max_iters=200)
+    t_star = float(np.exp(z_star))
     if nll_from_logits(logits, labels) <= objective(z_star):
         t_star = 1.0
     return t_star, softmax_rows(logits / t_star)

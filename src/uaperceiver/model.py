@@ -46,10 +46,6 @@ class ScoreCounter:
         self.cross = 0
         self.latent = 0
 
-    @property
-    def total(self):
-        return self.cross + self.latent
-
 
 score_counter = ScoreCounter()
 

@@ -37,11 +37,6 @@ class AdamWState:
         self.v = {name: np.zeros_like(t.data) for name, t in params.items()}
 
 
-def collect_grads(params: ParamStore) -> dict:
-    """Snapshot the grad buffers of a store into a plain name->array map."""
-    return {name: t.grad.copy() for name, t in params.items() if t.grad is not None}
-
-
 def adamw_step(params: ParamStore, grads: dict, state: AdamWState, lr: float) -> None:
     """One in-place AdamW update.
 

@@ -46,10 +46,6 @@ class ParamStore:
     def num_scalars(self) -> int:
         return sum(t.size for t in self._items.values())
 
-    def zero_grads(self) -> None:
-        for t in self._items.values():
-            t.zero_grad()
-
     def copy(self, requires_grad: bool | None = None) -> "ParamStore":
         out = ParamStore()
         for name, t in self._items.items():
@@ -61,14 +57,17 @@ class ParamStore:
         return self.copy(requires_grad=False)
 
     def check_compatible(self, other: "ParamStore") -> None:
-        if self.names() != other.names():
-            raise DimensionError("parameter stores have different names/order")
+        """DimensionError naming the first tensor of ``other`` that is
+        missing, extra or shaped unlike this store's; order is ignored."""
         for name, t in self._items.items():
-            if t.data.shape != other[name].data.shape:
-                raise DimensionError(
-                    f"parameter {name!r} shape mismatch: "
-                    f"{t.data.shape} vs {other[name].data.shape}"
-                )
+            if name not in other:
+                raise DimensionError(f"tensor {name!r} is missing, expected {t.shape}")
+            if other[name].shape != t.shape:
+                raise DimensionError(f"tensor {name!r} has shape "
+                                     f"{other[name].shape}, expected {t.shape}")
+        for name in other:
+            if name not in self._items:
+                raise DimensionError(f"tensor {name!r} is not expected")
 
     def map(self, fn: Callable[[np.ndarray], np.ndarray]) -> "ParamStore":
         out = ParamStore()

@@ -27,7 +27,7 @@ from .data import Dataset, make_batches, split_calibration
 from .errors import NumericError, RangeError, UsageError
 from .metrics import softmax_rows, temperature_scale
 from .model import PerceiverConfig, batch_loss, forward_logits, init_params
-from .optim import AdamWSettings, AdamWState, adamw_step, collect_grads
+from .optim import AdamWSettings, AdamWState, adamw_step
 from .params import ParamStore, swa_update
 from .rng import derive_seed, generator
 from .schedules import LRSchedule, capture_steps, lr_at
@@ -57,10 +57,10 @@ class Predictor:
     def __post_init__(self):
         if not self.members:
             raise UsageError("a predictor needs at least one member")
-        if self.temperatures is not None and len(self.temperatures) != len(
-            self.members
-        ):
-            raise UsageError("one temperature per member required")
+        if self.temperatures is not None and not (
+                len(self.temperatures) == len(self.members)
+                and all(0.0 < t < np.inf for t in self.temperatures)):
+            raise UsageError("temperatures must be one finite value > 0 per member")
         if self.mc_delta and self.mc_samples < 1:
             raise UsageError("MC dropout (mc_delta > 0) needs mc_samples >= 1")
         if self.mc_samples and self.temperatures is not None:
@@ -125,9 +125,7 @@ def train_model(
 ) -> TrainRunLog:
     """Run AdamW for schedule.total_steps, mutating ``params`` in place.
 
-    Data order reshuffles every epoch from seeds derived off ``seed``;
-    gradients are reset after each optimizer step.
-    """
+    Data order reshuffles every epoch from seeds derived off ``seed``."""
     log = TrainRunLog()
     state = AdamWState(params, settings.adamw)
     mask_rng = generator(seed, 0xD0) if settings.mc_delta > 0 else None
@@ -140,17 +138,14 @@ def train_model(
             epoch += 1
         images, labels = batches.pop(0)
         if mask_rng is not None:
-            images = np.stack(
-                [mc_dropout_mask(img, settings.mc_delta, mask_rng) for img in images]
-            )
+            images = mc_dropout_mask(images, settings.mc_delta, mask_rng)
         loss = batch_loss(config, params, images, labels)
         loss_value = float(loss.data)
         if not np.isfinite(loss_value):
             raise NumericError(f"non-finite loss at step {t}")
-        params.zero_grads()
-        loss.backward()
+        grads = loss.backward()
         lr = lr_at(schedule, t)
-        adamw_step(params, collect_grads(params), state, lr)
+        adamw_step(params, {n: grads.get(p) for n, p in params.items()}, state, lr)
         log.steps.append((t, lr, loss_value))
         if on_step is not None:
             on_step(t, params, log)
@@ -302,13 +297,14 @@ def fast_train(
 def mc_dropout_mask(image: np.ndarray, delta: float,
                     rng: np.random.Generator) -> np.ndarray:
     """Zero each pixel (all channels) independently with probability
-    delta; survivors are not rescaled."""
+    delta; survivors are not rescaled. Leading axes of ``image`` are
+    batch axes: one (B, H, W) draw is B consecutive (H, W) draws."""
     if not (0.0 <= delta <= 1.0):
         raise RangeError(f"delta must lie in [0, 1], got {delta}")
     image = np.asarray(image, dtype=np.float64)
     if delta == 0.0:
         return image.copy()
-    keep = rng.random(size=image.shape[:2]) >= delta
+    keep = rng.random(size=image.shape[:-1]) >= delta
     return image * keep[..., None]
 
 

@@ -6,9 +6,7 @@ broadcast, and the dozen operations needed to express an attention
 network. Every operation validates that its result is finite; NaN/Inf
 anywhere is treated as an error state rather than silently propagated.
 Shape operations return views; no operation mutates its inputs.
-
-Gradients accumulate into ``Tensor.grad`` on every ``backward`` call;
-resetting between optimizer steps is the caller's responsibility.
+Tensors hold no gradient state: ``backward`` returns the gradients.
 """
 
 from __future__ import annotations
@@ -34,7 +32,7 @@ class Tensor:
     their parents.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.array(data, dtype=np.float64, copy=True)
@@ -42,7 +40,6 @@ class Tensor:
             raise NumericError("tensor initialized with non-finite values")
         self.data = arr
         self.requires_grad = bool(requires_grad)
-        self.grad = np.zeros_like(arr) if self.requires_grad else None
         self._parents: tuple = ()
         self._backward = None
 
@@ -54,32 +51,27 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    def zero_grad(self) -> None:
-        if self.grad is not None:
-            self.grad.fill(0.0)
-
-    def detached(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=False)
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
     # ---- reverse pass ------------------------------------------------
 
-    def backward(self) -> None:
-        """Backpropagate from a scalar loss through the whole graph."""
+    def backward(self) -> dict["Tensor", np.ndarray]:
+        """Backpropagate a scalar loss; returns ``{leaf: gradient}`` for each
+        ``requires_grad`` leaf it reaches. Read-only: gradients may alias."""
         if self.data.size != 1:
             raise UsageError(
                 f"backward() requires a scalar, got shape {self.data.shape}"
             )
         order = _toposort(self)
         grads: dict[int, np.ndarray] = {id(self): np.ones_like(self.data)}
+        leaf_grads: dict[Tensor, np.ndarray] = {}
         for node in order:
             g = grads.pop(id(node), None)
             if g is None:
                 continue
             if node.requires_grad:
-                node.grad += g.reshape(node.data.shape)
+                leaf_grads[node] = g.reshape(node.data.shape)
             if node._backward is not None:
                 for parent, contrib in node._backward(g):
                     if parent._backward is None and not parent.requires_grad:
@@ -89,6 +81,7 @@ class Tensor:
                         grads[key] = grads[key] + contrib
                     else:
                         grads[key] = contrib
+        return leaf_grads
 
 
 def _toposort(root: Tensor) -> list:
@@ -120,7 +113,6 @@ def _result(data: np.ndarray, parents: Sequence[Tensor], backward) -> Tensor:
         raise NumericError("operation produced non-finite values")
     out.data = data
     out.requires_grad = False
-    out.grad = None
     if needs:
         out._parents = tuple(parents)
         out._backward = backward

@@ -25,13 +25,10 @@ def tiny_dataset():
 def global_fd_gradcheck(build_loss, leaves, h=1e-5):
     """Normwise relative error between reverse-mode gradients and
     central finite differences, over all leaves jointly."""
-    loss = build_loss()
-    for leaf in leaves:
-        leaf.zero_grad()
-    loss.backward()
+    grads = build_loss().backward()
     analytic, numeric = [], []
     for leaf in leaves:
-        analytic.append(leaf.grad.ravel().copy())
+        analytic.append(grads[leaf].ravel().copy())
         fd = np.zeros(leaf.data.size)
         flat = leaf.data.ravel()
         for i in range(flat.size):

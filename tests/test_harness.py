@@ -3,6 +3,7 @@ evaluation, reports, and the command-line front end."""
 
 import dataclasses
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -174,6 +175,12 @@ def test_model_config_is_the_model_prefix():
     ("max_frequency = nan\n", "max_frequency"),
     ("max_frequency = -5\n", "max_frequency"),
     ("max_frequency = inf\n", "max_frequency"),
+    ("width = 8\n", "synth"),
+    ("height = 2\nwidth = 2\n", "synth"),
+    ("dataset = cifar10\n", "cifar10"),
+    ("dataset = cifar100\nheight = 32\nwidth = 32\nnum_classes = 10\n", "cifar100"),
+    ("dataset = cifar10\nheight = 32\nwidth = 32\nchannels = 1\n"
+     "num_classes = 10\n", "cifar10"),
 ], ids=["heads", "swa-cycle", "snapshot-cycles", "mc-samples", "heads-zero",
         "byte-dim", "channels", "num-bands", "num-classes", "batch-size",
         "train-steps", "synth-train", "synth-test", "ensemble-size",
@@ -181,7 +188,9 @@ def test_model_config_is_the_model_prefix():
         "synth-noise", "beta2", "beta1-negative", "beta1-one", "adam-eps",
         "weight-decay", "nan-lr", "fast-lr-low",
         *[f"negative-lr-{strategy}" for strategy in STRATEGIES],
-        "max-frequency-nan", "max-frequency-negative", "max-frequency-inf"])
+        "max-frequency-nan", "max-frequency-negative", "max-frequency-inf",
+        "synth-not-square", "synth-too-small", "cifar10-shape", "cifar100-classes",
+        "cifar10-channels"])
 def test_parse_rejects_inconsistent_config(text, match):
     with pytest.raises(ConfigError, match=match):
         ua.parse_config(text)
@@ -513,8 +522,11 @@ def test_sweep_evaluates_each_member_once(tmp_path, monkeypatch):
     assert sum(rows) == 3 * (calibration + len(test))
 
 
+CIFAR10_MODEL = "dataset = cifar10\nheight = 32\nwidth = 32\nnum_classes = 10\n"
+
+
 def test_cifar_run_requires_paths():
-    config = ua.parse_config("dataset = cifar10\n")
+    config = ua.parse_config(CIFAR10_MODEL)
     with pytest.raises(ConfigError):
         build_datasets(config)
 
@@ -524,11 +536,13 @@ def test_cifar_dimension_check(tmp_path):
 
     path = tmp_path / "b.bin"
     path.write_bytes(cifar10_record(0, 0))
-    config = ua.parse_config(
-        f"dataset = cifar10\ndata_path = {path}\ntest_path = {path}\n"
-    )  # model defaults are 16x16x3 with 3 classes: mismatch
+    paths = f"data_path = {path}\ntest_path = {path}\n"
+    # model defaults are 16x16x3 with 3 classes: mismatch, found at parse time
     with pytest.raises(ConfigError):
-        build_datasets(config)
+        ua.parse_config("dataset = cifar10\n" + paths)
+    train, test = build_datasets(ua.parse_config(CIFAR10_MODEL + paths))
+    assert train.images.shape[1:] == test.images.shape[1:] == (32, 32, 3)
+    assert train.num_classes == test.num_classes == 10
 
 
 # ---- report emission -------------------------------------------------
@@ -636,11 +650,57 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
 
 
 def test_cli_train_rejects_config_before_creating_out_dir(tmp_path, capsys):
-    cfg = write_tiny_config(tmp_path, strategy="swa", swa_cycle=5)
-    out = tmp_path / "run"
-    assert main(["train", "--config", str(cfg), "--out-dir", str(out)]) == 2
-    assert "config error" in capsys.readouterr().err
-    assert not out.exists()
+    for i, extra in enumerate([
+        b"strategy = swa\nswa_cycle = 5\n",
+        b"width = 8\n",
+        b"height = 2\nwidth = 2\n",
+        b"dataset = cifar10\n",
+        b"dataset = cifar100\nheight = 32\nwidth = 32\nnum_classes = 10\n",
+        b"seed = 1\xff\xfe\n",
+    ]):
+        cfg = tmp_path / f"run{i}.cfg"
+        cfg.write_bytes(TINY.encode() + extra)
+        out = tmp_path / f"run{i}"
+        assert main(["train", "--config", str(cfg), "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and err.count("\n") == 1, extra
+        assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=150, deadline=None)
+@given(strategy=st.sampled_from(STRATEGIES), data=st.data())
+def test_fuzzed_config_file_parses_or_fails_cleanly(fuzz_dir, strategy, data):
+    """Byte flips and line edits of a valid config file either parse or
+    raise a package error, and ``train`` on one that fails exits 2
+    without creating its out_dir."""
+    raw = bytearray(config_echo(ua.RunConfig(strategy=strategy)).encode())
+    for _ in range(data.draw(st.integers(1, 3), label="edits")):
+        kind = data.draw(st.sampled_from(["flip", "delete", "duplicate", "value"]))
+        if kind == "flip":
+            pos = data.draw(st.integers(0, len(raw) - 1), label="position")
+            raw[pos] = data.draw(st.integers(0, 255), label="byte")
+            continue
+        lines = bytes(raw).split(b"\n")
+        i = data.draw(st.integers(0, len(lines) - 1), label="line")
+        if kind == "value":  # another line's value under this line's key
+            j = data.draw(st.integers(0, len(lines) - 1), label="source")
+            lines[i] = lines[i].split(b"=")[0] + b"=" + lines[j].split(b"=")[-1]
+        else:
+            lines[i:i + 1] = [] if kind == "delete" else [lines[i]] * 2
+        raw = bytearray(b"\n".join(lines))
+    path = fuzz_dir / "fuzzed.cfg"
+    path.write_bytes(bytes(raw))
+    out = fuzz_dir / "run"
+    try:
+        assert isinstance(load_config(path, {"out_dir": str(out)}), ua.RunConfig)
+    except UAPError:
+        assert main(["train", "--config", str(path), "--out-dir", str(out)]) == 2
+        assert not out.exists()
 
 
 def resave_member(run_dir, edit):
@@ -656,9 +716,9 @@ def resave_member(run_dir, edit):
 
 @pytest.mark.parametrize("edit, match", [
     (lambda a: {**a, "head.w": a["head.w"][:, :1]},
-     r"'head.w' has shape \(4, 1\), config needs \(4, 3\)"),
+     r"'head.w' has shape \(4, 1\), expected \(4, 3\)"),
     (lambda a: {k: v for k, v in a.items() if k != "head.b"}, "'head.b' is missing"),
-    (lambda a: {**a, "head.scale": np.ones(3)}, "'head.scale' is not a parameter"),
+    (lambda a: {**a, "head.scale": np.ones(3)}, "'head.scale' is not expected"),
 ], ids=["reshaped", "missing", "extra"])
 def test_load_predictor_checks_member_tensors(tmp_path, edit, match):
     ua.run_train(tiny_run_config(tmp_path))
@@ -673,6 +733,45 @@ def test_cli_evaluate_reshaped_tensor(tmp_path, capsys):
     assert main(["evaluate", "--run-dir", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("compatibility error:") and "head.w" in err
+
+
+@pytest.fixture(scope="module")
+def deep_run(tmp_path_factory):
+    run_dir = tmp_path_factory.mktemp("deep")
+    ua.run_train(tiny_run_config(run_dir, strategy="deep"))
+    return run_dir
+
+
+@pytest.mark.parametrize("category, values", [
+    ("format", {"members": []}),
+    ("format", {"members": [3]}),
+    ("format", {"members": "member_000.ckpt"}),
+    ("format", {"snapshot_last": "x"}),
+    ("format", {"snapshot_last": -1}),
+    ("format", {"stats_std": None}),
+    ("format", {"stats_mean": [0.0, 0.0]}),
+    ("format", {"stats_std": [0.0]}),
+    ("format", {"mc_samples": "3"}),
+    ("format", {"mc_delta": None}),
+    ("format", {"temperatures": 2.0}),
+    ("usage", {"temperatures": [-1.0, -1.0]}),
+    ("usage", {"temperatures": [0.0, 1.0]}),
+], ids=["members-empty", "members-int", "members-string", "snapshot-last-string",
+        "snapshot-last-negative", "stats-std-null", "stats-mean-length",
+        "stats-std-zero", "mc-samples-string", "mc-delta-null",
+        "temperatures-scalar", "temperatures-negative", "temperatures-zero"])
+def test_cli_evaluate_rejects_bad_manifest_values(deep_run, tmp_path, capsys,
+                                                  category, values):
+    run_dir = tmp_path / "run"
+    shutil.copytree(deep_run, run_dir)
+    path = run_dir / "predictor.json"
+    path.write_text(json.dumps({**json.loads(path.read_text()), **values}))
+    assert main(["evaluate", "--run-dir", str(run_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"{category} error:") and err.count("\n") == 1
+    assert next(iter(values)) in err
+    if category == "format":
+        assert "predictor.json" in err
 
 
 def test_cli_evaluate_truncated_checkpoint(tmp_path, capsys):

@@ -73,8 +73,9 @@ def oracle_ece(probs, labels, num_bins=DEFAULT_BINS):
 
 
 def test_eval_batch_validation():
-    with pytest.raises(NumericError):
-        ua.EvalBatch(np.array([[0.5, 0.6]]), [0])
+    for row in ([0.5, 0.6], [np.nan, 1.0], [np.inf, 0.0], [np.inf, -np.inf]):
+        with pytest.raises(NumericError):
+            ua.EvalBatch(np.array([row]), [0])
     with pytest.raises(UsageError):
         ua.EvalBatch(np.array([[0.5, 0.5]]), [2])
     with pytest.raises(DimensionError):
@@ -201,31 +202,18 @@ def test_metrics_row_permutation_invariant(seed):
 
 
 def test_nelder_mead_1d_quadratic():
-    x = ua.nelder_mead(lambda v: (v[0] - 2.0) ** 2, [0.0])
-    assert abs(x[0] - 2.0) < 1e-4
+    x = ua.nelder_mead(lambda v: (v - 2.0) ** 2, 0.0)
+    assert abs(x - 2.0) < 1e-4
 
 
 def test_nelder_mead_absolute_value():
-    x = ua.nelder_mead(lambda v: abs(v[0]), [5.0])
-    assert abs(x[0]) < 1e-3
-
-
-def test_nelder_mead_2d_quadratic_with_grid_oracle():
-    def f(v):
-        return (v[0] - 3.0) ** 2 + 2.0 * (v[1] + 1.0) ** 2 + 0.5
-
-    x = ua.nelder_mead(f, [0.0, 0.0])
-    assert abs(x[0] - 3.0) < 1e-3 and abs(x[1] + 1.0) < 1e-3
-    # coarse grid search agrees on the location of the minimum
-    grid = np.linspace(-5, 5, 201)
-    vals = [(f((a, b)), a, b) for a in grid for b in grid]
-    _, ga, gb = min(vals)
-    assert abs(x[0] - ga) < 0.05 and abs(x[1] - gb) < 0.05
+    x = ua.nelder_mead(lambda v: abs(v), 5.0)
+    assert abs(x) < 1e-3
 
 
 def test_nelder_mead_rejects_non_finite_start():
     with pytest.raises(NumericError):
-        ua.nelder_mead(lambda v: float("nan"), [0.0])
+        ua.nelder_mead(lambda v: float("nan"), 0.0)
 
 
 # ---- temperature scaling ---------------------------------------------

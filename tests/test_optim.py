@@ -5,7 +5,7 @@ import pytest
 
 from uaperceiver import Tensor
 from uaperceiver.errors import NumericError, RangeError
-from uaperceiver.optim import AdamWSettings, AdamWState, adamw_step, collect_grads
+from uaperceiver.optim import AdamWSettings, AdamWState, adamw_step
 from uaperceiver.params import ParamStore
 
 
@@ -81,11 +81,3 @@ def test_two_steps_match_reference_recurrence():
         p = p - 0.05 * mhat / (np.sqrt(vhat) + settings.eps)
         p = p - 0.05 * settings.weight_decay * p
     np.testing.assert_allclose(s["p"].data, p, atol=1e-15)
-
-
-def test_collect_grads_snapshots():
-    s = store_with("p", [1.0])
-    s["p"].grad[:] = 3.0
-    grads = collect_grads(s)
-    s["p"].zero_grad()
-    np.testing.assert_array_equal(grads["p"], [3.0])

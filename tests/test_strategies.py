@@ -258,6 +258,16 @@ def test_mask_binomial_fraction():
     assert abs(zeroed - 0.3) < 3 * sigma
 
 
+def test_mask_batch_equals_per_image_masks():
+    images = np.random.default_rng(3).random((5, 4, 6, 2)) + 0.1
+    batched_rng, per_image_rng = generator(4, 0), generator(4, 0)
+    batched = ua.mc_dropout_mask(images, 0.4, batched_rng)
+    per_image = np.stack([ua.mc_dropout_mask(img, 0.4, per_image_rng)
+                          for img in images])
+    np.testing.assert_array_equal(batched, per_image)
+    assert batched_rng.bit_generator.state == per_image_rng.bit_generator.state
+
+
 def test_mask_rejects_bad_delta():
     with pytest.raises(RangeError):
         ua.mc_dropout_mask(np.ones((2, 2, 1)), 1.5, generator(0, 0))
