@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import os
 import struct
 import time
 import typing
@@ -263,7 +264,15 @@ def save_checkpoint(path, store: ParamStore, echo: str) -> None:
         + bytes(manifest)
         + bytes(payload)
     )
-    Path(path).write_bytes(blob)
+    _replace_file(Path(path), blob)
+
+
+def _replace_file(path: Path, data: bytes) -> None:
+    """Write ``data`` to a temp file beside ``path``, then rename it over
+    ``path``: a crash leaves the old file or the new one, never a torn one."""
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_bytes(data)
+    os.replace(tmp, path)
 
 
 def load_checkpoint(path) -> tuple[ParamStore, str]:
@@ -414,6 +423,9 @@ def run_train(config: RunConfig) -> RunResult:
     predictor, logs = _train_predictor(config, train)
 
     echo = config_echo(config)
+    # predictor.json, written last, marks a finished run: remove any earlier
+    # run's before its checkpoints can be overwritten
+    (out_dir / "predictor.json").unlink(missing_ok=True)
     member_files = []
     for i, store in enumerate(predictor.members):
         fname = f"member_{i:03d}.ckpt"
@@ -425,13 +437,14 @@ def run_train(config: RunConfig) -> RunResult:
         "stats_mean": None if stats is None else list(stats.mean),
         "stats_std": None if stats is None else list(stats.std),
     }
-    (out_dir / "predictor.json").write_text(json.dumps(manifest, indent=2))
-    (out_dir / "config.txt").write_text(echo)
     log_payload = [
         {"member": i, "steps": log.steps, "captures": log.captures}
         for i, log in enumerate(logs)
     ]
-    (out_dir / "run_log.json").write_text(json.dumps(log_payload))
+    _replace_file(out_dir / "config.txt", echo.encode("utf-8"))
+    _replace_file(out_dir / "run_log.json", json.dumps(log_payload).encode("utf-8"))
+    _replace_file(out_dir / "predictor.json",
+                  json.dumps(manifest, indent=2).encode("utf-8"))
     return RunResult(predictor, logs, stats, out_dir, member_files)
 
 
@@ -469,15 +482,26 @@ def _numbers(value, count: int | None = None) -> bool:
         type(v) in (int, float) and abs(v) <= np.finfo(float).max for v in value)
 
 
+def _check_values(where, values: dict, types: dict) -> None:
+    """FormatError naming the first key whose value fails its type test."""
+    for key, (kind, valid) in types.items():
+        if key in values and not valid(values[key]):
+            raise FormatError(f"{where}: {key} must be {kind}")
+
+
+_FINITE = ("a finite number", lambda v: _numbers([v]))
+_INTEGER = ("an integer", lambda v: type(v) is int)
+_STRING = ("a string", lambda v: type(v) is str)
+_TEMPERATURES = ("null or a list of numbers", lambda v: v is None or _numbers(v))
 # what each predictor.json value must be: key -> (description, test)
 _MANIFEST_TYPES = {
     "members": ("a non-empty list of file names", lambda v: type(v) is list
                 and v != [] and all(type(f) is str for f in v)),
-    "kind": ("a string", lambda v: type(v) is str),
-    "temperatures": ("null or a list of numbers", lambda v: v is None or _numbers(v)),
-    "mc_delta": ("a finite number", lambda v: _numbers([v])),
-    "mc_samples": ("an integer", lambda v: type(v) is int),
-    "mc_seed": ("an integer", lambda v: type(v) is int),
+    "kind": _STRING,
+    "temperatures": _TEMPERATURES,
+    "mc_delta": _FINITE,
+    "mc_samples": _INTEGER,
+    "mc_seed": _INTEGER,
     "snapshot_last": ("an integer >= 0", lambda v: type(v) is int and v >= 0),
 }
 
@@ -485,6 +509,8 @@ _MANIFEST_TYPES = {
 def load_predictor(run_dir) -> tuple[Predictor, RunConfig, ChannelStats | None]:
     run_dir = Path(run_dir)
     path = run_dir / "predictor.json"
+    if run_dir.is_dir() and not path.exists():
+        raise FormatError(f"{path}: missing; the run did not finish")
     manifest = read_json(path)
     if not isinstance(manifest, dict):
         raise FormatError(f"{path}: expected a JSON object")
@@ -492,9 +518,7 @@ def load_predictor(run_dir) -> tuple[Predictor, RunConfig, ChannelStats | None]:
                if key not in manifest]
     if missing:
         raise FormatError(f"{path}: missing keys {missing}")
-    for key, (kind, valid) in _MANIFEST_TYPES.items():
-        if key in manifest and not valid(manifest[key]):
-            raise FormatError(f"{path}: {key} must be {kind}")
+    _check_values(path, manifest, _MANIFEST_TYPES)
     files = manifest["members"]
     fields = {key: manifest[key] for key in MANIFEST_KEYS}
     # older manifests list every snapshot and name how many to average
@@ -597,15 +621,32 @@ def sweep_ensemble(config: RunConfig, max_size: int | None = None
 # ---- report emission -------------------------------------------------
 
 
+# what each report row value must be: key -> (description, test)
+_REPORT_TYPES = {
+    "variant": _STRING,
+    "ensemble_size": _INTEGER,
+    "seed": _INTEGER,
+    "accuracy": _FINITE,
+    "nll": _FINITE,
+    "ece": _FINITE,
+    "brier": _FINITE,
+    "temperatures": _TEMPERATURES,
+    "wall_clock_seconds": _FINITE,
+    "config": ("a JSON object", lambda v: type(v) is dict),
+}
+
+
 def load_reports(path) -> list[MetricsReport]:
     """Reports from a JSON list written by ``emit_report``."""
     rows = read_json(path)
     if not isinstance(rows, list):
         raise FormatError(f"{path}: expected a JSON list of reports")
-    try:
-        return [MetricsReport(**row) for row in rows]
-    except TypeError as exc:
-        raise FormatError(f"{path}: not a metrics report row ({exc})") from None
+    for i, row in enumerate(rows):
+        if not isinstance(row, dict) or set(row) != set(_REPORT_TYPES):
+            raise FormatError(f"{path}: row {i} is not a metrics report "
+                              f"(expected keys {list(_REPORT_TYPES)})")
+        _check_values(f"{path}: row {i}", row, _REPORT_TYPES)
+    return [MetricsReport(**row) for row in rows]
 
 
 _CSV_COLUMNS = ("variant", "ensemble_size", "seed", "accuracy", "nll", "ece",

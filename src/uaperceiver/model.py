@@ -271,31 +271,19 @@ def build_byte_array(images, config: PerceiverConfig, params: ParamStore):
 
 
 def _linear(x, params: ParamStore, prefix: str):
-    return T.add(T.matmul(x, params[prefix + ".w"]), params[prefix + ".b"])
-
-
-def _swap_rows_and_heads(x):
-    """(..., rows, H, dh) <-> (..., H, rows, dh)."""
-    n = len(x.shape)
-    return T.transpose(x, (*range(n - 3), n - 2, n - 3, n - 1))
+    return T.linear(x, params[prefix + ".w"], params[prefix + ".b"])
 
 
 def _multihead_attention(q, k, v, heads: int, kind: str):
-    """Scaled dot-product attention with heads as an axis; head outputs
-    are concatenated along the feature axis."""
-    d = q.shape[-1]
-    dh = d // heads
-    qh, kh, vh = (
-        _swap_rows_and_heads(T.reshape(x, (*x.shape[:-1], heads, dh)))
-        for x in (q, k, v)
-    )
-    scores = T.scale(T.matmul(qh, T.transpose(kh)), 1.0 / math.sqrt(dh))
+    """Scaled dot-product attention with heads as an axis, counting the
+    score-matrix entries (heads x N x M per image) by kind."""
+    out = T.attention(q, k, v, heads)
+    entries = out.size // out.shape[-1] * heads * k.shape[-2]
     if kind == "cross":
-        score_counter.cross += scores.size
+        score_counter.cross += entries
     else:
-        score_counter.latent += scores.size
-    out = _swap_rows_and_heads(T.matmul(T.softmax(scores), vh))
-    return T.reshape(out, (*out.shape[:-2], d))
+        score_counter.latent += entries
+    return out
 
 
 def cross_attention(latent, bytes_mat, params: ParamStore, config: PerceiverConfig,

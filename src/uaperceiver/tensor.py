@@ -3,10 +3,14 @@
 The engine is deliberately small: arrays whose last two axes are
 matrices, any leading axes being batch axes (images, heads) that
 broadcast, and the dozen operations needed to express an attention
-network. Every operation validates that its result is finite; NaN/Inf
-anywhere is treated as an error state rather than silently propagated.
-Shape operations return views; no operation mutates its inputs.
-Tensors hold no gradient state: ``backward`` returns the gradients.
+network. ``linear`` and ``attention`` are fused single nodes, so a
+layer's graph holds only what its backward reads. Every operation
+validates that its result is finite; NaN/Inf anywhere is treated as an
+error state rather than silently propagated. Shape operations return
+views. Operations compute in place only on arrays they allocated: none
+writes into its inputs or into a gradient it receives, since gradients
+may alias. Tensors hold no gradient state: ``backward`` returns the
+gradients.
 """
 
 from __future__ import annotations
@@ -161,16 +165,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _result(data, (a, b), backward)
 
 
-def scale(a: Tensor, c: float) -> Tensor:
-    a = as_tensor(a)
-    c = float(c)
-
-    def backward(g):
-        return ((a, g * c),)
-
-    return _result(a.data * c, (a,), backward)
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product over the last two axes; leading axes broadcast."""
     a, b = as_tensor(a), as_tensor(b)
@@ -191,6 +185,27 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         )
 
     return _result(data, (a, b), backward)
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``x @ w + b`` as one node: the bias is added in place."""
+    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
+    if (x.data.ndim < 2 or w.data.ndim != 2 or x.data.shape[-1] != w.data.shape[0]
+            or b.data.shape != w.data.shape[1:]):
+        raise DimensionError(
+            f"linear got x {x.data.shape}, w {w.data.shape} and b {b.data.shape}"
+        )
+    data = x.data @ w.data
+    data += b.data
+
+    def backward(g):
+        return (
+            (x, _unbroadcast(g @ w.data.T, x.data.shape)),
+            (w, _unbroadcast(np.swapaxes(x.data, -1, -2) @ g, w.data.shape)),
+            (b, _unbroadcast(g, b.data.shape)),
+        )
+
+    return _result(data, (x, w, b), backward)
 
 
 def transpose(a: Tensor, axes=None) -> Tensor:
@@ -219,32 +234,112 @@ def reshape(a: Tensor, shape) -> Tensor:
 # ---- nonlinearities --------------------------------------------------
 
 
+def _softmax_(x: np.ndarray) -> np.ndarray:
+    """Softmax along the last axis with max-subtraction, overwriting ``x``."""
+    x -= x.max(axis=-1, keepdims=True)
+    np.exp(x, out=x)
+    x /= x.sum(axis=-1, keepdims=True)
+    return x
+
+
+def _softmax_grad_(g: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Gradient through softmax output ``s``, overwriting ``g``."""
+    dot = (g * s).sum(axis=-1, keepdims=True)
+    g -= dot
+    g *= s
+    return g
+
+
 def softmax(x: Tensor) -> Tensor:
     """Softmax along the last axis, computed with max-subtraction."""
     x = as_tensor(x)
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    s = e / e.sum(axis=-1, keepdims=True)
+    s = _softmax_(x.data.copy())
 
     def backward(g):
-        dot = (g * s).sum(axis=-1, keepdims=True)
-        return ((x, s * (g - dot)),)
+        return ((x, _softmax_grad_(g.copy(), s)),)
 
     return _result(s, (x,), backward)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
+    """Multi-head scaled dot-product attention as one node.
+
+    q is (..., N, D), k and v are (..., M, D); leading axes broadcast, so
+    one unbatched query set can attend to a batch of keys. Each head sees
+    D / heads features and the head outputs are concatenated. Only the
+    attention probabilities are kept for the backward pass.
+    """
+    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
+    d = q.data.shape[-1]
+    if (q.data.ndim < 2 or k.data.ndim < 2 or k.data.shape[-1] != d
+            or v.data.shape != k.data.shape or d % heads != 0):
+        raise DimensionError(
+            f"attention got q {q.data.shape}, k {k.data.shape}, v {v.data.shape} "
+            f"with {heads} heads"
+        )
+    dh = d // heads
+    c = 1.0 / math.sqrt(dh)
+
+    def split(a):
+        """(..., rows, D) -> (..., H, rows, dh), a view."""
+        return np.swapaxes(a.reshape(*a.shape[:-1], heads, dh), -2, -3)
+
+    def merge(a):
+        """(..., H, rows, dh) -> (..., rows, D)."""
+        a = np.swapaxes(a, -2, -3)
+        return a.reshape(*a.shape[:-2], d)
+
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    p = qh @ np.swapaxes(kh, -1, -2)
+    p *= c
+    if not np.all(np.isfinite(p)):
+        raise NumericError("attention produced non-finite scores")
+    _softmax_(p)
+
+    def backward(g):
+        gh = split(g)
+        dvh = np.swapaxes(p, -1, -2) @ gh
+        ds = _softmax_grad_(gh @ np.swapaxes(vh, -1, -2), p)
+        ds *= c
+        dqh = ds @ kh
+        dkh = np.swapaxes(np.swapaxes(qh, -1, -2) @ ds, -1, -2)
+        return (
+            (q, merge(_unbroadcast(dqh, qh.shape))),
+            (k, merge(_unbroadcast(dkh, kh.shape))),
+            (v, merge(_unbroadcast(dvh, vh.shape))),
+        )
+
+    return _result(merge(p @ vh), (q, k, v), backward)
 
 
 def gelu(x: Tensor) -> Tensor:
     """GELU with the tanh approximation (GPT-2 convention)."""
     x = as_tensor(x)
     v = x.data
-    inner = _GELU_C * (v + _GELU_A * (v * v * v))
-    t = np.tanh(inner)
-    data = 0.5 * v * (1.0 + t)
+    t = v * v
+    t *= v
+    t *= _GELU_A
+    t += v
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    data = t + 1.0  # halving is exact, so this is 0.5 * v * (1 + t) to the bit
+    data *= v
+    data *= 0.5
 
     def backward(g):
-        du = _GELU_C * (1.0 + 3.0 * _GELU_A * (v * v))
-        local = 0.5 * (1.0 + t) + 0.5 * v * (1.0 - t ** 2) * du
-        return ((x, g * local),)
+        du = v * v
+        du *= 3.0 * _GELU_A
+        du += 1.0
+        du *= _GELU_C
+        tail = t * t
+        np.subtract(1.0, tail, out=tail)
+        tail *= 0.5 * v
+        tail *= du
+        local = np.add(t, 1.0, out=du)
+        local *= 0.5
+        local += tail
+        local *= g
+        return ((x, local),)
 
     return _result(data, (x,), backward)
 
@@ -260,21 +355,25 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
             f"layer_norm gamma/beta must have shape ({d},), got "
             f"{gamma.data.shape} and {beta.data.shape}"
         )
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
-    data = xhat * gamma.data + beta.data
+    xhat = x.data - x.data.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt((xhat * xhat).sum(axis=-1, keepdims=True) / d + eps)
+    xhat *= inv
+    data = xhat * gamma.data
+    data += beta.data
 
     def backward(g):
-        gxhat = g * gamma.data
-        mean_g = gxhat.mean(axis=-1, keepdims=True)
-        mean_gx = (gxhat * xhat).mean(axis=-1, keepdims=True)
-        gx = inv * (gxhat - mean_g - xhat * mean_gx)
         axes = tuple(range(g.ndim - 1))
-        ggamma = (g * xhat).sum(axis=axes) if axes else g * xhat
-        gbeta = g.sum(axis=axes) if axes else g
-        return ((x, gx), (gamma, ggamma), (beta, gbeta))
+        tmp = g * xhat
+        ggamma = tmp.sum(axis=axes)
+        gx = g * gamma.data
+        mean_g = gx.mean(axis=-1, keepdims=True)
+        np.multiply(gx, xhat, out=tmp)
+        mean_gx = tmp.mean(axis=-1, keepdims=True)
+        gx -= mean_g
+        np.multiply(xhat, mean_gx, out=tmp)
+        gx -= tmp
+        gx *= inv
+        return ((x, gx), (gamma, ggamma), (beta, g.sum(axis=axes)))
 
     return _result(data, (x, gamma, beta), backward)
 

@@ -4,6 +4,7 @@ evaluation, reports, and the command-line front end."""
 import dataclasses
 import json
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from uaperceiver.harness import (
     evaluate_predictor,
     load_config,
     load_predictor,
+    load_reports,
 )
 from uaperceiver.model import init_params
 from uaperceiver.schedules import LRSchedule, lr_at
@@ -564,6 +566,7 @@ def test_json_report_roundtrip(tmp_path):
     ua.emit_report(reports, "json", path)
     parsed = [ua.MetricsReport(**entry) for entry in json.loads(path.read_text())]
     assert [r.to_dict() for r in parsed] == [r.to_dict() for r in reports]
+    assert [r.to_dict() for r in load_reports(path)] == [r.to_dict() for r in reports]
 
 
 def test_csv_report_single_row(tmp_path):
@@ -799,6 +802,25 @@ def test_cli_report_bad_input(tmp_path, capsys, content):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key, value", [
+    ("temperatures", 5),
+    ("accuracy", "abc"),
+    ("ensemble_size", 1.5),
+    ("nll", None),
+    ("temperatures", [1, "x"]),
+], ids=["temperatures-number", "accuracy-string", "ensemble-size-float", "nll-null",
+        "temperatures-string-entry"])
+def test_cli_report_badly_typed_value(tmp_path, capsys, key, value):
+    source = tmp_path / "in.json"
+    source.write_text(json.dumps([{**sample_report().to_dict(), key: value}]))
+    out = tmp_path / "out.csv"
+    assert main(["report", "--inputs", str(source), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("format error:") and str(source) in err and key in err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_cli_io_error_exit_code(tmp_path, capsys):
     assert main(["train", "--config", str(tmp_path / "missing.cfg")]) == 3
     assert "io error" in capsys.readouterr().err
@@ -806,3 +828,51 @@ def test_cli_io_error_exit_code(tmp_path, capsys):
 
 def test_cli_evaluate_missing_run(tmp_path):
     assert main(["evaluate", "--run-dir", str(tmp_path / "nope")]) == 3
+
+
+def torn_write_at(monkeypatch, crash_at: int) -> list:
+    """Make the ``crash_at``-th Path.write_bytes write half its bytes and
+    raise, as a process dying mid-write would; returns the paths written."""
+    written = []
+    write_bytes = Path.write_bytes
+
+    def torn(path, data):
+        written.append(path.name)
+        if len(written) == crash_at + 1:
+            write_bytes(path, data[: len(data) // 2])
+            raise OSError("simulated crash")
+        return write_bytes(path, data)
+
+    monkeypatch.setattr(Path, "write_bytes", torn)
+    return written
+
+
+def without_wall_clock(report) -> dict:
+    return {k: v for k, v in report.to_dict().items() if k != "wall_clock_seconds"}
+
+
+def test_crash_during_run_train_never_leaves_a_torn_run(tmp_path, monkeypatch):
+    full = ua.run_train(tiny_run_config(tmp_path / "full", strategy="deep"))
+    expected = without_wall_clock(ua.run_evaluate(full.out_dir))
+    names = sorted(p.name for p in full.out_dir.iterdir())
+    assert names == ["config.txt", "member_000.ckpt", "member_001.ckpt",
+                     "predictor.json", "run_log.json"]
+    for crash_at in range(len(names)):
+        out_dir = tmp_path / f"crash{crash_at}"
+        # an earlier finished run of another seed shares the directory
+        ua.run_train(tiny_run_config(out_dir, strategy="deep", seed=5))
+        with monkeypatch.context() as patch:
+            written = torn_write_at(patch, crash_at)
+            with pytest.raises(OSError, match="simulated crash"):
+                ua.run_train(tiny_run_config(out_dir, strategy="deep"))
+        assert written[-1].endswith(".tmp")
+        try:
+            report = ua.run_evaluate(out_dir)
+        except UAPError:
+            continue
+        assert without_wall_clock(report) == expected
+    # predictor.json is the last file written, so no crash leaves a run
+    # that evaluates, and none leaves the earlier run's manifest behind
+    assert written[-1] == "predictor.json.tmp"
+    with pytest.raises(FormatError, match="did not finish"):
+        ua.run_evaluate(out_dir)

@@ -353,3 +353,187 @@ def test_broadcast_bias_gradient():
     b = leaf(np.zeros(3))
     grads = T.total(T.add(x, b)).backward()
     np.testing.assert_array_equal(grads[b], [4.0, 4.0, 4.0])
+
+
+# ---- fused ops and in-place kernels ------------------------------------
+
+
+def composed_attention(q, k, v, heads):
+    """Reference: multi-head attention from reshape/transpose/matmul, a
+    scale by 1/sqrt(dh) and softmax, one node each."""
+    d = q.shape[-1]
+    dh = d // heads
+
+    def swap_rows_and_heads(x):
+        n = len(x.shape)
+        return T.transpose(x, (*range(n - 3), n - 2, n - 3, n - 1))
+
+    qh, kh, vh = (swap_rows_and_heads(T.reshape(x, (*x.shape[:-1], heads, dh)))
+                  for x in (q, k, v))
+    scores = T.mul(T.matmul(qh, T.transpose(kh)), T.Tensor(1.0 / math.sqrt(dh)))
+    out = swap_rows_and_heads(T.matmul(T.softmax(scores), vh))
+    return T.reshape(out, (*out.shape[:-2], d))
+
+
+ATTENTION_SHAPES = {
+    # name: (q shape, k/v shape, heads)
+    "batched-1-head": ((2, 3, 4), (2, 5, 4), 1),
+    "batched-4-heads": ((2, 3, 8), (2, 5, 8), 4),
+    "unbatched-q": ((3, 8), (2, 5, 8), 4),
+    "batch-of-one": ((1, 3, 4), (1, 6, 4), 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ATTENTION_SHAPES))
+def test_attention_gradient_fd(name):
+    q_shape, kv_shape, heads = ATTENTION_SHAPES[name]
+    rng = np.random.default_rng(20)
+    q, k, v = leaf(rng.normal(size=q_shape)), *(leaf(rng.normal(size=kv_shape))
+                                                for _ in range(2))
+    w = T.Tensor(rng.normal(size=(kv_shape[0], q_shape[-2], q_shape[-1])))
+
+    def loss():
+        return T.total(T.mul(T.attention(q, k, v, heads), w))
+
+    assert global_fd_gradcheck(loss, [q, k, v], h=1e-6) < 1e-8
+
+
+@pytest.mark.parametrize("name", sorted(ATTENTION_SHAPES))
+def test_attention_matches_composed_reference(name):
+    q_shape, kv_shape, heads = ATTENTION_SHAPES[name]
+    rng = np.random.default_rng(21)
+    q, k, v = (leaf(rng.normal(size=s, scale=3.0)) for s in (q_shape, kv_shape, kv_shape))
+    w = T.Tensor(rng.normal(size=(kv_shape[0], q_shape[-2], q_shape[-1])))
+    fused = T.attention(q, k, v, heads)
+    reference = composed_attention(q, k, v, heads)
+    np.testing.assert_array_equal(fused.data, reference.data)
+    got = T.total(T.mul(fused, w)).backward()
+    want = T.total(T.mul(reference, w)).backward()
+    largest = max(np.abs(want[t]).max() for t in (q, k, v))
+    for t in (q, k, v):
+        np.testing.assert_allclose(got[t], want[t], rtol=0, atol=1e-12 * largest)
+
+
+def test_attention_overflowing_scores_raise():
+    q = T.Tensor(np.full((2, 4), 1e200))
+    k = T.Tensor(np.full((3, 4), 1e200))
+    with np.errstate(over="ignore"):
+        with pytest.raises(NumericError):
+            T.attention(q, k, k, 2)
+        with pytest.raises(NumericError):
+            T.attention(q, T.Tensor(-k.data), k, 2)
+
+
+def test_attention_shape_errors():
+    q, k = T.Tensor(np.ones((2, 4))), T.Tensor(np.ones((3, 4)))
+    with pytest.raises(DimensionError):
+        T.attention(q, k, k, 3)  # 4 features do not split into 3 heads
+    with pytest.raises(DimensionError):
+        T.attention(q, T.Tensor(np.ones((3, 2))), T.Tensor(np.ones((3, 2))), 2)
+    with pytest.raises(DimensionError):
+        T.attention(q, k, T.Tensor(np.ones((2, 4))), 2)
+
+
+def test_linear_gradient_fd():
+    rng = np.random.default_rng(22)
+    x = leaf(rng.normal(size=(2, 3, 4)))
+    w = leaf(rng.normal(size=(4, 5)))
+    b = leaf(rng.normal(size=5))  # broadcast over the batch and row axes
+    m = T.Tensor(rng.normal(size=(2, 3, 5)))
+    out = T.linear(x, w, b)
+    np.testing.assert_array_equal(out.data, T.add(T.matmul(x, w), b).data)
+
+    def loss():
+        return T.total(T.mul(T.linear(x, w, b), m))
+
+    assert global_fd_gradcheck(loss, [x, w, b], h=1e-6) < 1e-8
+
+
+def test_linear_shape_errors():
+    x, w = T.Tensor(np.ones((3, 4))), T.Tensor(np.ones((4, 5)))
+    with pytest.raises(DimensionError):
+        T.linear(x, T.Tensor(np.ones((5, 4))), T.Tensor(np.ones(4)))
+    with pytest.raises(DimensionError):
+        T.linear(x, w, T.Tensor(np.ones(4)))
+    with pytest.raises(DimensionError):
+        T.linear(T.Tensor(np.ones(4)), w, T.Tensor(np.ones(5)))
+
+
+def reference_softmax(x, g):
+    shifted = x - x.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    s = e / e.sum(axis=-1, keepdims=True)
+    dot = (g * s).sum(axis=-1, keepdims=True)
+    return s, s * (g - dot)
+
+
+def reference_gelu(v, g):
+    c, a = math.sqrt(2.0 / math.pi), 0.044715
+    t = np.tanh(c * (v + a * (v * v * v)))
+    du = c * (1.0 + 3.0 * a * (v * v))
+    local = 0.5 * (1.0 + t) + 0.5 * v * (1.0 - t ** 2) * du
+    return 0.5 * v * (1.0 + t), g * local
+
+
+def reference_layer_norm(x, g, gamma, beta, eps=1e-5):
+    mu = x.mean(axis=-1, keepdims=True)
+    var = x.var(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = (x - mu) * inv
+    gxhat = g * gamma
+    mean_g = gxhat.mean(axis=-1, keepdims=True)
+    mean_gx = (gxhat * xhat).mean(axis=-1, keepdims=True)
+    gx = inv * (gxhat - mean_g - xhat * mean_gx)
+    axes = tuple(range(g.ndim - 1))
+    return xhat * gamma + beta, gx, (g * xhat).sum(axis=axes), g.sum(axis=axes)
+
+
+def test_kernels_bit_equal_to_reference_expressions():
+    rng = np.random.default_rng(23)
+    for shape in ((7,), (4, 9), (2, 3, 16)):
+        x = rng.normal(size=shape, scale=4.0)
+        g = rng.normal(size=shape)
+        xs = leaf(x)
+        out = T.softmax(xs)
+        s, gx = reference_softmax(x, g)
+        np.testing.assert_array_equal(out.data, s)
+        np.testing.assert_array_equal(out._backward(g)[0][1], gx)
+        out = T.gelu(xs)
+        y, gx = reference_gelu(x, g)
+        np.testing.assert_array_equal(out.data, y)
+        np.testing.assert_array_equal(out._backward(g)[0][1], gx)
+        gamma = rng.normal(size=shape[-1])
+        beta = rng.normal(size=shape[-1])
+        out = T.layer_norm(xs, leaf(gamma), leaf(beta))
+        y, *grads = reference_layer_norm(x, g, gamma, beta)
+        np.testing.assert_array_equal(out.data, y)
+        for (_, got), want in zip(out._backward(g), grads):
+            np.testing.assert_array_equal(got, want)
+
+
+def test_gelu_bit_equal_across_magnitudes():
+    v = np.concatenate([np.linspace(-40.0, 40.0, 20001),
+                        np.geomspace(1e-300, 1e3, 2000), -np.geomspace(1e-300, 1e3, 2000)])
+    g = np.ones_like(v)
+    y, gx = reference_gelu(v, g)
+    out = T.gelu(T.Tensor(v, requires_grad=True))
+    np.testing.assert_array_equal(out.data, y)
+    np.testing.assert_array_equal(out._backward(g)[0][1], gx)
+
+
+def test_ops_leave_inputs_and_received_gradients_unchanged():
+    rng = np.random.default_rng(24)
+    x = leaf(rng.normal(size=(2, 3, 4)))
+    k = leaf(rng.normal(size=(2, 5, 4)))
+    w, b = leaf(rng.normal(size=(4, 4))), leaf(rng.normal(size=4))
+    gamma, beta = leaf(rng.normal(size=4)), leaf(rng.normal(size=4))
+    nodes = [T.softmax(x), T.gelu(x), T.layer_norm(x, gamma, beta), T.linear(x, w, b),
+             T.attention(x, k, k, 2)]
+    before = [t.data.copy() for t in (x, k, w, b, gamma, beta)]
+    for node in nodes:
+        g = rng.normal(size=node.shape)
+        kept = g.copy()
+        node._backward(g)
+        np.testing.assert_array_equal(g, kept)
+    for t, old in zip((x, k, w, b, gamma, beta), before):
+        np.testing.assert_array_equal(t.data, old)
