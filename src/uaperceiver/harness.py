@@ -34,7 +34,7 @@ from .data import (
 )
 from .errors import (CompatibilityError, ConfigError, DimensionError, FormatError,
                      RangeError, UsageError)
-from .model import PerceiverConfig, init_params
+from .model import PerceiverConfig, param_shapes
 from .optim import AdamWSettings
 from .params import ParamStore
 from .rng import derive_seed
@@ -322,35 +322,36 @@ def load_checkpoint(path) -> tuple[ParamStore, str]:
             ).reshape(shape)
         except ValueError as exc:  # e.g. more axes than numpy supports
             raise FormatError(f"{path}: bad shape for tensor {name!r}: {exc}") from None
-        store.add(name, Tensor(arr.astype(np.float64)))
+        store.add(name, Tensor(arr))
     return store, echo
 
 
 # ---- datasets --------------------------------------------------------
 
 
-def build_datasets(config: RunConfig) -> tuple[Dataset, Dataset]:
-    """(train, test) pair described by the config, pre-normalization."""
+def build_dataset(config: RunConfig, split: str) -> Dataset:
+    """The config's "train" or "test" split, pre-normalization; only that
+    split's data is generated or read."""
+    if split not in ("train", "test"):
+        raise UsageError(f"split must be 'train' or 'test', got {split!r}")
+    train = split == "train"
     if config.dataset == "synth":
-        train = synth_dataset(
-            derive_seed(config.data_seed, 0), config.synth_train,
+        return synth_dataset(
+            derive_seed(config.data_seed, 0 if train else 1),
+            config.synth_train if train else config.synth_test,
             resolution=config.height, num_classes=config.num_classes,
             channels=config.channels, noise=config.synth_noise,
-            contrast=config.synth_contrast, split="train",
+            contrast=config.synth_contrast, split=split,
         )
-        test = synth_dataset(
-            derive_seed(config.data_seed, 1), config.synth_test,
-            resolution=config.height, num_classes=config.num_classes,
-            channels=config.channels, noise=config.synth_noise,
-            contrast=config.synth_contrast, split="test",
-        )
-        return train, test
     if not config.data_path or not config.test_path:
         raise ConfigError("data_path and test_path are required for CIFAR runs")
-    train = load_cifar(config.data_path, config.dataset)
-    test = dataclasses.replace(load_cifar(config.test_path, config.dataset),
-                               split="test")
-    return train, test
+    path = config.data_path if train else config.test_path
+    return dataclasses.replace(load_cifar(path, config.dataset), split=split)
+
+
+def build_datasets(config: RunConfig) -> tuple[Dataset, Dataset]:
+    """(train, test) pair described by the config, pre-normalization."""
+    return build_dataset(config, "train"), build_dataset(config, "test")
 
 
 # ---- training --------------------------------------------------------
@@ -415,7 +416,7 @@ def run_train(config: RunConfig) -> RunResult:
     """Train the configured strategy and persist checkpoints + run log."""
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    train, _ = build_datasets(config)
+    train = build_dataset(config, "train")
     stats = None
     if config.normalize:
         stats = channel_stats(train)
@@ -538,10 +539,10 @@ def load_predictor(run_dir) -> tuple[Predictor, RunConfig, ChannelStats | None]:
         members.append(store)
     config = parse_config(echo)
     model_config = config.model_config()
-    expected = init_params(model_config, 0)
+    expected = param_shapes(model_config)
     for fname, store in zip(files, members):
         try:
-            expected.check_compatible(store)
+            store.check_shapes(expected)
         except DimensionError as exc:
             raise CompatibilityError(f"{fname}: {exc}") from None
     predictor = Predictor(config=model_config, members=members, **fields)
@@ -587,7 +588,7 @@ def evaluate_predictor(predictor: Predictor, config: RunConfig,
 def run_evaluate(run_dir) -> MetricsReport:
     """Rebuild the persisted predictor and score it on the test split."""
     predictor, config, stats = load_predictor(run_dir)
-    _, test = build_datasets(config)
+    test = build_dataset(config, "test")
     return evaluate_predictor(predictor, config, stats, test)
 
 
@@ -603,7 +604,7 @@ def sweep_ensemble(config: RunConfig, max_size: int | None = None
         ensemble_size=config.ensemble_size if max_size is None else max_size,
     )
     result = run_train(config)
-    _, test = build_datasets(config)
+    test = build_dataset(config, "test")
     start = time.perf_counter()
     if result.stats is not None:
         test = standardize(test, result.stats)

@@ -42,8 +42,8 @@ class EvalBatch:
             raise DimensionError("labels must be one int per probability row")
         if y.min() < 0 or y.max() >= p.shape[1]:
             raise UsageError("labels out of class range")
-        # a NaN or infinite entry makes its row sum fail the comparison
-        if not np.abs(p.sum(axis=1) - 1.0).max() <= 1e-9:
+        # checked first: summing an inf and a -inf entry warns
+        if not (np.isfinite(p).all() and np.abs(p.sum(axis=1) - 1.0).max() <= 1e-9):
             raise NumericError("probability rows must be finite and sum to 1 "
                                "within 1e-9")
 

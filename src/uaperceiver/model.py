@@ -164,55 +164,34 @@ def _tower_group(config: PerceiverConfig, r: int) -> str:
     return "tower_shared" if config.share_tower_weights else f"tower_rep{r}"
 
 
-def init_params(config: PerceiverConfig, seed: int) -> ParamStore:
-    """Seeded parameter store: truncated-normal weights (std 0.02),
-    zero biases/betas, unit layer-norm gammas, learned latent array."""
-    rng = generator(seed, 0)
-    store = ParamStore()
-
-    def weight(name, shape):
-        store.add(name, Tensor(_trunc_normal(rng, shape), requires_grad=True))
-
-    def zeros(name, shape):
-        store.add(name, Tensor(np.zeros(shape), requires_grad=True))
-
-    def ones(name, shape):
-        store.add(name, Tensor(np.ones(shape), requires_grad=True))
-
+def param_shapes(config: PerceiverConfig) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every parameter tensor, in initialization order:
+    the one description of the parameter layout. Shared blocks appear
+    once."""
+    shapes: dict[str, tuple[int, ...]] = {}
     d, c = config.latent_dim, config.byte_dim
-    f = config.byte_feature_width
-
-    if config.pos_encoding == "learnable":
-        weight("input.pos_table", (config.num_bytes, config.channels))
-    weight("input.byte_proj.w", (f, c))
-    zeros("input.byte_proj.b", (c,))
-    weight("latent.init", (config.latent_count, d))
 
     def linear(prefix, din, dout):
-        weight(prefix + ".w", (din, dout))
-        zeros(prefix + ".b", (dout,))
+        shapes[prefix + ".w"] = (din, dout)
+        shapes[prefix + ".b"] = (dout,)
 
     def norm(prefix, dim):
-        ones(prefix + ".gamma", (dim,))
-        zeros(prefix + ".beta", (dim,))
+        shapes[prefix + ".gamma"] = (dim,)
+        shapes[prefix + ".beta"] = (dim,)
 
-    cross_groups, tower_groups = [], []
-    for r in range(config.depth_repeats):
-        g = _cross_group(config, r)
-        if g not in cross_groups:
-            cross_groups.append(g)
-        g = _tower_group(config, r)
-        if g not in tower_groups:
-            tower_groups.append(g)
-
-    for g in cross_groups:
+    if config.pos_encoding == "learnable":
+        shapes["input.pos_table"] = (config.num_bytes, config.channels)
+    linear("input.byte_proj", config.byte_feature_width, c)
+    shapes["latent.init"] = (config.latent_count, d)
+    repeats = range(config.depth_repeats)
+    for g in dict.fromkeys(_cross_group(config, r) for r in repeats):
         norm(f"{g}.ln_q", d)
         norm(f"{g}.ln_kv", c)
         linear(f"{g}.q", d, d)
         linear(f"{g}.k", c, d)
         linear(f"{g}.v", c, d)
         linear(f"{g}.out", d, d)
-    for g in tower_groups:
+    for g in dict.fromkeys(_tower_group(config, r) for r in repeats):
         for l in range(config.tower_layers):
             norm(f"{g}.layer{l}.attn.ln", d)
             linear(f"{g}.layer{l}.attn.q", d, d)
@@ -222,8 +201,24 @@ def init_params(config: PerceiverConfig, seed: int) -> ParamStore:
             norm(f"{g}.layer{l}.mlp.ln", d)
             linear(f"{g}.layer{l}.mlp.fc1", d, 4 * d)
             linear(f"{g}.layer{l}.mlp.fc2", 4 * d, d)
-
     linear("head", d, config.num_classes)
+    return shapes
+
+
+def init_params(config: PerceiverConfig, seed: int) -> ParamStore:
+    """Seeded parameter store: truncated-normal weights (std 0.02) and
+    learned latent array and position table, zero biases/betas, unit
+    layer-norm gammas."""
+    rng = generator(seed, 0)
+    store = ParamStore()
+    for name, shape in param_shapes(config).items():
+        if name.endswith(".w") or name in ("latent.init", "input.pos_table"):
+            data = _trunc_normal(rng, shape)
+        elif name.endswith(".gamma"):
+            data = np.ones(shape)
+        else:  # .b and .beta
+            data = np.zeros(shape)
+        store.add(name, Tensor(data, requires_grad=True))
     return store
 
 
@@ -233,12 +228,11 @@ def param_count(config: PerceiverConfig) -> tuple[int, dict[str, int]]:
     Shared blocks are counted once; groups are the first dotted name
     component (input, latent, cross_*, tower_*, head).
     """
-    store = init_params(config, 0)
     breakdown: dict[str, int] = {}
-    for name, t in store.items():
+    for name, shape in param_shapes(config).items():
         group = name.split(".", 1)[0]
-        breakdown[group] = breakdown.get(group, 0) + t.size
-    return store.num_scalars(), breakdown
+        breakdown[group] = breakdown.get(group, 0) + math.prod(shape)
+    return sum(breakdown.values()), breakdown
 
 
 # ---- forward passes --------------------------------------------------

@@ -56,17 +56,20 @@ class ParamStore:
     def detached(self) -> "ParamStore":
         return self.copy(requires_grad=False)
 
-    def check_compatible(self, other: "ParamStore") -> None:
-        """DimensionError naming the first tensor of ``other`` that is
-        missing, extra or shaped unlike this store's; order is ignored."""
-        for name, t in self._items.items():
-            if name not in other:
-                raise DimensionError(f"tensor {name!r} is missing, expected {t.shape}")
-            if other[name].shape != t.shape:
-                raise DimensionError(f"tensor {name!r} has shape "
-                                     f"{other[name].shape}, expected {t.shape}")
-        for name in other:
+    def shapes(self) -> dict[str, tuple]:
+        return {name: t.shape for name, t in self._items.items()}
+
+    def check_shapes(self, expected: dict[str, tuple]) -> None:
+        """DimensionError naming the first tensor that is missing, extra or
+        shaped unlike ``expected`` (name -> shape); order is ignored."""
+        for name, shape in expected.items():
             if name not in self._items:
+                raise DimensionError(f"tensor {name!r} is missing, expected {shape}")
+            if self._items[name].shape != shape:
+                raise DimensionError(f"tensor {name!r} has shape "
+                                     f"{self._items[name].shape}, expected {shape}")
+        for name in self._items:
+            if name not in expected:
                 raise DimensionError(f"tensor {name!r} is not expected")
 
     def map(self, fn: Callable[[np.ndarray], np.ndarray]) -> "ParamStore":
@@ -78,23 +81,16 @@ class ParamStore:
     def map2(
         self, other: "ParamStore", fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
     ) -> "ParamStore":
-        self.check_compatible(other)
+        other.check_shapes(self.shapes())
         out = ParamStore()
         for name, t in self._items.items():
             out.add(name, Tensor(fn(t.data, other[name].data), requires_grad=False))
         return out
 
     def allclose(self, other: "ParamStore", atol: float = 0.0) -> bool:
-        self.check_compatible(other)
-        if atol == 0.0:
-            return all(
-                np.array_equal(t.data, other[name].data)
-                for name, t in self._items.items()
-            )
-        return all(
-            np.allclose(t.data, other[name].data, atol=atol, rtol=0.0)
-            for name, t in self._items.items()
-        )
+        other.check_shapes(self.shapes())
+        return all(np.allclose(t.data, other[name].data, atol=atol, rtol=0.0)
+                   for name, t in self._items.items())
 
 
 def swa_update(w_avg: ParamStore, n_models: int, w: ParamStore) -> ParamStore:

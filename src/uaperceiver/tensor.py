@@ -10,7 +10,7 @@ error state rather than silently propagated. Shape operations return
 views. Operations compute in place only on arrays they allocated: none
 writes into its inputs or into a gradient it receives, since gradients
 may alias. Tensors hold no gradient state: ``backward`` returns the
-gradients.
+gradients. A node's backward gives None to a parent needing no gradient.
 """
 
 from __future__ import annotations
@@ -78,7 +78,7 @@ class Tensor:
                 leaf_grads[node] = g.reshape(node.data.shape)
             if node._backward is not None:
                 for parent, contrib in node._backward(g):
-                    if parent._backward is None and not parent.requires_grad:
+                    if not _needs_grad(parent):
                         continue
                     key = id(parent)
                     if key in grads:
@@ -109,9 +109,13 @@ def _toposort(root: Tensor) -> list:
     return order
 
 
+def _needs_grad(t: Tensor) -> bool:  # a trainable leaf or a path to one
+    return t.requires_grad or t._backward is not None
+
+
 def _result(data: np.ndarray, parents: Sequence[Tensor], backward) -> Tensor:
     """Build an interior node; prune the graph when no parent needs grads."""
-    needs = any(p.requires_grad or p._backward is not None for p in parents)
+    needs = any(_needs_grad(p) for p in parents)
     out = Tensor.__new__(Tensor)
     if not np.all(np.isfinite(data)):
         raise NumericError("operation produced non-finite values")
@@ -179,10 +183,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     data = a.data @ b.data
 
     def backward(g):
-        return (
-            (a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape)),
-            (b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape)),
-        )
+        ga = (_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape)
+              if _needs_grad(a) else None)
+        gb = (_unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape)
+              if _needs_grad(b) else None)
+        return ((a, ga), (b, gb))
 
     return _result(data, (a, b), backward)
 
@@ -199,8 +204,9 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     data += b.data
 
     def backward(g):
+        gx = _unbroadcast(g @ w.data.T, x.data.shape) if _needs_grad(x) else None
         return (
-            (x, _unbroadcast(g @ w.data.T, x.data.shape)),
+            (x, gx),
             (w, _unbroadcast(np.swapaxes(x.data, -1, -2) @ g, w.data.shape)),
             (b, _unbroadcast(g, b.data.shape)),
         )

@@ -13,10 +13,12 @@ from hypothesis import strategies as st
 
 import uaperceiver as ua
 from uaperceiver.cli import main
-from uaperceiver.errors import CompatibilityError, ConfigError, FormatError, UAPError
+from uaperceiver.errors import (CompatibilityError, ConfigError, FormatError, UAPError,
+                               UsageError)
 from uaperceiver.harness import (
     CHECKPOINT_MAGIC,
     STRATEGIES,
+    build_dataset,
     build_datasets,
     config_echo,
     evaluate_predictor,
@@ -407,7 +409,7 @@ def test_loaded_predictor_matches_in_memory(tmp_path):
     result = ua.run_train(config)
     predictor, loaded_config, stats = load_predictor(tmp_path)
     assert loaded_config == config
-    _, test = build_datasets(config)
+    test = build_dataset(config, "test")
     from uaperceiver.data import standardize
 
     probs_mem = result.predictor.probabilities(
@@ -427,7 +429,7 @@ def test_older_snapshot_manifest_loads_last_members(tmp_path):
     manifest = json.loads(path.read_text())
     path.write_text(json.dumps({**manifest, "snapshot_last": 2, "seed": 0}))
     report = ua.run_evaluate(tmp_path)
-    _, test = build_datasets(config)
+    test = build_dataset(config, "test")
     last_two = ua.Predictor("snapshot", config.model_config(),
                             result.predictor.members[-2:])
     expected = evaluate_predictor(last_two, config, result.stats, test)
@@ -457,7 +459,7 @@ def test_manifest_missing_key_is_format_error(tmp_path):
 def test_evaluate_report_equals_direct_metric_calls(tmp_path):
     config = tiny_run_config(tmp_path)
     result = ua.run_train(config)
-    _, test = build_datasets(config)
+    test = build_dataset(config, "test")
     report = evaluate_predictor(result.predictor, config, result.stats, test)
     from uaperceiver.data import standardize
 
@@ -492,7 +494,7 @@ def test_sweep_rows_equal_prefix_predictors(tmp_path):
     config = tiny_run_config(tmp_path, train_steps=2)
     reports = ua.sweep_ensemble(config, max_size=3)
     predictor, loaded, stats = load_predictor(tmp_path)
-    _, test = build_datasets(loaded)
+    test = build_dataset(loaded, "test")
     fields = ("variant", "ensemble_size", "accuracy", "nll", "ece", "brier",
               "temperatures")
     for size, report in enumerate(reports, 1):
@@ -524,6 +526,38 @@ def test_sweep_evaluates_each_member_once(tmp_path, monkeypatch):
     assert sum(rows) == 3 * (calibration + len(test))
 
 
+def test_each_verb_builds_only_the_split_it_uses(tmp_path, monkeypatch):
+    """Training generates the train split, evaluation the test split, a
+    sweep each split once; evaluation draws no initial weights."""
+    from uaperceiver import harness, model
+
+    built = []
+    synth = harness.synth_dataset
+
+    def recording(*args, split, **kwargs):
+        built.append(split)
+        return synth(*args, split=split, **kwargs)
+
+    monkeypatch.setattr(harness, "synth_dataset", recording)
+    config = tiny_run_config(tmp_path, strategy="deep")
+    ua.run_train(config)
+    assert built == ["train"]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("evaluation initialized parameters")
+
+    built.clear()
+    with monkeypatch.context() as patch:
+        patch.setattr(model, "_trunc_normal", forbidden)
+        ua.run_evaluate(tmp_path)
+    assert built == ["test"]
+    built.clear()
+    ua.sweep_ensemble(tiny_run_config(tmp_path / "sweep", train_steps=2), 2)
+    assert built == ["train", "test"]
+    with pytest.raises(UsageError, match="split"):
+        build_dataset(config, "calibration")
+
+
 CIFAR10_MODEL = "dataset = cifar10\nheight = 32\nwidth = 32\nnum_classes = 10\n"
 
 
@@ -545,6 +579,21 @@ def test_cifar_dimension_check(tmp_path):
     train, test = build_datasets(ua.parse_config(CIFAR10_MODEL + paths))
     assert train.images.shape[1:] == test.images.shape[1:] == (32, 32, 3)
     assert train.num_classes == test.num_classes == 10
+
+
+def test_cifar_evaluation_reads_only_the_test_file(tmp_path):
+    from test_data import cifar10_record
+
+    train_path, test_path = tmp_path / "train.bin", tmp_path / "test.bin"
+    train_path.write_bytes(b"".join(cifar10_record(i % 10, 40 * i) for i in range(6)))
+    test_path.write_bytes(cifar10_record(3, 200) + cifar10_record(7, 10))
+    run_dir = tmp_path / "run"
+    config = tiny_run_config(
+        run_dir, dataset="cifar10", height=32, width=32, channels=3,
+        num_classes=10, train_steps=1, data_path=train_path, test_path=test_path)
+    ua.run_train(config)
+    train_path.unlink()
+    assert main(["evaluate", "--run-dir", str(run_dir)]) == 0
 
 
 # ---- report emission -------------------------------------------------

@@ -1,6 +1,7 @@
 """Perceiver model: positional encoding, attention oracles, parameter
 accounting, and forward-pass invariants."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from uaperceiver.model import (
     FORWARD_CHUNK,
     LN_EPS,
     batch_loss,
+    param_shapes,
     score_counter,
 )
 
@@ -445,6 +447,56 @@ def test_init_biases_and_norms():
             np.testing.assert_array_equal(t.data, np.zeros_like(t.data))
         if name.endswith(".gamma"):
             np.testing.assert_array_equal(t.data, np.ones_like(t.data))
+
+
+CRITERION7 = ua.PerceiverConfig(latent_count=8, latent_dim=32, byte_dim=32,
+                                num_bands=4, depth_repeats=1, tower_layers=1,
+                                heads=2)
+LEARNABLE_UNSHARED_R3 = ua.PerceiverConfig(
+    pos_encoding="learnable", share_tower_weights=False,
+    share_cross_weights=False, depth_repeats=3,
+)
+
+
+def store_sha256(store) -> str:
+    """sha256 over every tensor's name, shape and little-endian bytes, in
+    store order."""
+    digest = hashlib.sha256()
+    for name, t in store.items():
+        digest.update(name.encode() + repr(t.shape).encode()
+                      + t.data.astype("<f8").tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("config, expected", [
+    (CRITERION7, "e5dba32a762d283deb2b60b4505bca5b2a2ee23f9f8b6b2f0893471b4849cd92"),
+    (ua.PerceiverConfig(),
+     "2294395b5143c26054037a39527ebc8629ed171444770094ded5632d89fb86b0"),
+    (LEARNABLE_UNSHARED_R3,
+     "0d8f0bce695f9323c50895940a77b22873dab5ff94344df051455b3ff2e8bc43"),
+], ids=["criterion7", "default", "learnable-unshared-r3"])
+def test_init_params_pinned(config, expected):
+    """Names, order, shapes and every random draw of a seed-0 store."""
+    assert store_sha256(ua.init_params(config, 0)) == expected
+
+
+@pytest.mark.parametrize("config", [CRITERION7, ua.PerceiverConfig(),
+                                    LEARNABLE_UNSHARED_R3],
+                         ids=["criterion7", "default", "learnable-unshared-r3"])
+def test_param_shapes_is_the_init_layout(config):
+    assert param_shapes(config) == ua.init_params(config, 0).shapes()
+    assert list(param_shapes(config)) == ua.init_params(config, 0).names()
+
+
+def test_param_count_draws_no_random_numbers(monkeypatch):
+    from uaperceiver import model
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("param_count initialized parameters")
+
+    monkeypatch.setattr(model, "_trunc_normal", forbidden)
+    total, parts = ua.param_count(CRITERION7)
+    assert total == sum(math.prod(s) for s in param_shapes(CRITERION7).values())
 
 
 def test_param_count_invariant_in_depth_when_shared():

@@ -449,6 +449,29 @@ def test_linear_gradient_fd():
     assert global_fd_gradcheck(loss, [x, w, b], h=1e-6) < 1e-8
 
 
+def test_constant_inputs_get_no_gradient_product():
+    """A linear or matmul node skips the product that would give an input
+    needing no gradient its gradient; the other gradients are unchanged."""
+    rng = np.random.default_rng(25)
+    x = T.Tensor(rng.normal(size=(2, 3, 4)))  # constant features
+    w, b = leaf(rng.normal(size=(4, 5))), leaf(rng.normal(size=5))
+    g = rng.normal(size=(2, 3, 5))
+    (px, gx), (pw, gw), (pb, gb) = T.linear(x, w, b)._backward(g)
+    assert px is x and gx is None
+    np.testing.assert_array_equal(gw, (np.swapaxes(x.data, -1, -2) @ g).sum(axis=0))
+    np.testing.assert_array_equal(gb, g.sum(axis=0).sum(axis=0))
+    a, c = T.Tensor(rng.normal(size=(3, 4))), leaf(rng.normal(size=(4, 5)))
+    (_, ga), (_, gc) = T.matmul(a, c)._backward(g[0])
+    assert ga is None
+    np.testing.assert_array_equal(gc, a.data.T @ g[0])
+    (_, ga), (_, gc) = T.matmul(c, T.Tensor(rng.normal(size=(5, 2))))._backward(
+        rng.normal(size=(4, 2)))
+    assert ga is not None and gc is None
+    grads = T.total(T.mul(T.linear(x, w, b), T.Tensor(g))).backward()
+    assert set(grads) == {w, b}
+    np.testing.assert_array_equal(grads[w], gw)
+
+
 def test_linear_shape_errors():
     x, w = T.Tensor(np.ones((3, 4))), T.Tensor(np.ones((4, 5)))
     with pytest.raises(DimensionError):
