@@ -9,7 +9,9 @@ Verbs:
 
 Config values come from a ``key = value`` file (``--config``); repeated
 ``--set key=value`` flags override file values, and ``--seed`` /
-``--out-dir`` are shorthands for the corresponding keys.
+``--out-dir`` are shorthands for the corresponding keys. ``--workers N``
+sets how many processes train deep-ensemble members and evaluate
+(default: every usable core); no output depends on it.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import UAPError
+from .errors import ConfigError, UAPError
 from .harness import (
     MetricsReport,
     RunConfig,
@@ -35,7 +37,7 @@ def _config_from_args(args) -> RunConfig:
     overrides = {}
     for item in args.set or []:
         if "=" not in item:
-            raise UAPError(f"--set expects key=value, got {item!r}")
+            raise ConfigError(f"--set expects key=value, got {item!r}")
         key, value = item.split("=", 1)
         overrides[key.strip()] = value.strip()
     if args.seed is not None:
@@ -53,6 +55,12 @@ def _add_config_flags(sub):
                      help="override a config key (repeatable; wins over file)")
     sub.add_argument("--seed", type=int, help="override the run seed")
     sub.add_argument("--out-dir", help="override the output directory")
+    _add_workers_flag(sub)
+
+
+def _add_workers_flag(sub):
+    sub.add_argument("--workers", type=int,
+                     help="processes to use (default: every usable core)")
 
 
 def _print_report(report: MetricsReport) -> None:
@@ -75,6 +83,7 @@ def main(argv=None) -> int:
 
     sub = subs.add_parser("evaluate", help="evaluate a finished run")
     sub.add_argument("--run-dir", required=True, help="directory written by train")
+    _add_workers_flag(sub)
     sub.add_argument("--report", help="write the metrics report to this path")
     sub.add_argument("--format", choices=("json", "csv"), default="json")
 
@@ -94,17 +103,17 @@ def main(argv=None) -> int:
     try:
         if args.verb == "train":
             config = _config_from_args(args)
-            result = run_train(config)
+            result = run_train(config, args.workers)
             print(f"wrote {len(result.member_files)} member checkpoint(s) "
                   f"to {result.out_dir}")
         elif args.verb == "evaluate":
-            report = run_evaluate(args.run_dir)
+            report = run_evaluate(args.run_dir, args.workers)
             _print_report(report)
             if args.report:
                 emit_report([report], args.format, args.report)
         elif args.verb == "sweep-ensemble":
             config = _config_from_args(args)
-            reports = sweep_ensemble(config, args.max_size)
+            reports = sweep_ensemble(config, args.max_size, args.workers)
             for report in reports:
                 _print_report(report)
             if args.report:

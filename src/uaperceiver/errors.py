@@ -47,3 +47,9 @@ class CompatibilityError(UAPError):
     """Checkpoint and configuration disagree."""
 
     category = "compatibility"
+
+
+class WorkerError(UAPError):
+    """A worker process ended without sending its result."""
+
+    category = "worker"

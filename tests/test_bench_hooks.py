@@ -66,4 +66,7 @@ def test_counted_names_resolve():
     assert isinstance(counter.cross, int) and isinstance(counter.latent, int)
     predictor = uaperceiver.strategies.Predictor
     assert inspect.isfunction(predictor.__dict__["probabilities"])
+    # run.py wraps it with a function of (predictor, images)
+    assert list(inspect.signature(predictor.probabilities).parameters) == [
+        "self", "images"]
     assert inspect.isfunction(uaperceiver.metrics.nll_from_logits)

@@ -520,7 +520,8 @@ def test_sweep_evaluates_each_member_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(strategies, "forward_logits", counting)
     config = tiny_run_config(tmp_path, train_steps=2)
-    ua.sweep_ensemble(config, max_size=3)
+    # the patch counts rows in this process only, so no worker may run them
+    ua.sweep_ensemble(config, max_size=3, workers=1)
     train, test = build_datasets(config)
     calibration = len(split_calibration(train, 0)[1])
     assert sum(rows) == 3 * (calibration + len(test))
@@ -692,6 +693,13 @@ def test_cli_sweep_and_report_conversion(tmp_path):
     csv_out = tmp_path / "merged.csv"
     assert main(["report", "--inputs", str(series), "--out", str(csv_out)]) == 0
     assert len(csv_out.read_text().strip().splitlines()) == 3
+
+
+def test_cli_set_without_equals_is_config_error(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["train", "--set", "foo", "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == "config error: --set expects key=value, got 'foo'\n"
+    assert not out.exists()
 
 
 def test_cli_config_error_exit_code(tmp_path, capsys):
@@ -925,3 +933,16 @@ def test_crash_during_run_train_never_leaves_a_torn_run(tmp_path, monkeypatch):
     assert written[-1] == "predictor.json.tmp"
     with pytest.raises(FormatError, match="did not finish"):
         ua.run_evaluate(out_dir)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_crash_during_emit_report_keeps_the_earlier_report(tmp_path, monkeypatch, fmt):
+    path = tmp_path / f"report.{fmt}"
+    ua.emit_report([sample_report()], fmt, path)
+    earlier = path.read_bytes()
+    with monkeypatch.context() as patch:
+        written = torn_write_at(patch, 0)
+        with pytest.raises(OSError, match="simulated crash"):
+            ua.emit_report([sample_report(seed=1)], fmt, path)
+    assert written == [f"report.{fmt}.tmp"]
+    assert path.read_bytes() == earlier
