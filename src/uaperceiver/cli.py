@@ -9,9 +9,7 @@ Verbs:
 
 Config values come from a ``key = value`` file (``--config``); repeated
 ``--set key=value`` flags override file values, and ``--seed`` /
-``--out-dir`` are shorthands for the corresponding keys. ``--workers N``
-sets how many processes train deep-ensemble members and evaluate
-(default: every usable core); no output depends on it.
+``--out-dir`` are shorthands for the corresponding keys.
 """
 
 from __future__ import annotations
@@ -55,12 +53,6 @@ def _add_config_flags(sub):
                      help="override a config key (repeatable; wins over file)")
     sub.add_argument("--seed", type=int, help="override the run seed")
     sub.add_argument("--out-dir", help="override the output directory")
-    _add_workers_flag(sub)
-
-
-def _add_workers_flag(sub):
-    sub.add_argument("--workers", type=int,
-                     help="processes to use (default: every usable core)")
 
 
 def _print_report(report: MetricsReport) -> None:
@@ -83,7 +75,6 @@ def main(argv=None) -> int:
 
     sub = subs.add_parser("evaluate", help="evaluate a finished run")
     sub.add_argument("--run-dir", required=True, help="directory written by train")
-    _add_workers_flag(sub)
     sub.add_argument("--report", help="write the metrics report to this path")
     sub.add_argument("--format", choices=("json", "csv"), default="json")
 
@@ -103,17 +94,17 @@ def main(argv=None) -> int:
     try:
         if args.verb == "train":
             config = _config_from_args(args)
-            result = run_train(config, args.workers)
+            result = run_train(config)
             print(f"wrote {len(result.member_files)} member checkpoint(s) "
                   f"to {result.out_dir}")
         elif args.verb == "evaluate":
-            report = run_evaluate(args.run_dir, args.workers)
+            report = run_evaluate(args.run_dir)
             _print_report(report)
             if args.report:
                 emit_report([report], args.format, args.report)
         elif args.verb == "sweep-ensemble":
             config = _config_from_args(args)
-            reports = sweep_ensemble(config, args.max_size, args.workers)
+            reports = sweep_ensemble(config, args.max_size)
             for report in reports:
                 _print_report(report)
             if args.report:

@@ -36,7 +36,6 @@ from .errors import (CompatibilityError, ConfigError, DimensionError, FormatErro
                      RangeError, UsageError)
 from .model import PerceiverConfig, param_shapes
 from .optim import AdamWSettings
-from .parallel import worker_count
 from .params import ParamStore
 from .rng import derive_seed
 from .schedules import LRSchedule
@@ -367,7 +366,7 @@ class RunResult:
     member_files: list[str]
 
 
-def _train_predictor(config: RunConfig, train: Dataset, workers: int
+def _train_predictor(config: RunConfig, train: Dataset
                      ) -> tuple[Predictor, list[TrainRunLog]]:
     model = config.model_config()
     settings = config.train_settings()
@@ -383,7 +382,6 @@ def _train_predictor(config: RunConfig, train: Dataset, workers: int
     if config.strategy == "deep":
         return deep_ensemble_train(
             model, config.ensemble_size, config.seed, train, schedule, settings,
-            workers,
         )
     if config.strategy == "mc":
         store, _, log = train_member(
@@ -414,13 +412,8 @@ def _train_predictor(config: RunConfig, train: Dataset, workers: int
     return predictor, [pre_log, log]
 
 
-def run_train(config: RunConfig, workers: int | None = None) -> RunResult:
-    """Train the configured strategy and persist checkpoints + run log.
-
-    ``workers`` (default: every usable core) is how many processes train
-    deep-ensemble members and evaluate the returned predictor; no output
-    depends on it."""
-    workers = worker_count(workers)
+def run_train(config: RunConfig) -> RunResult:
+    """Train the configured strategy and persist checkpoints + run log."""
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     train = build_dataset(config, "train")
@@ -428,8 +421,7 @@ def run_train(config: RunConfig, workers: int | None = None) -> RunResult:
     if config.normalize:
         stats = channel_stats(train)
         train = standardize(train, stats)
-    predictor, logs = _train_predictor(config, train, workers)
-    predictor.workers = workers
+    predictor, logs = _train_predictor(config, train)
 
     echo = config_echo(config)
     # predictor.json, written last, marks a finished run: remove any earlier
@@ -593,29 +585,25 @@ def evaluate_predictor(predictor: Predictor, config: RunConfig,
                    time.perf_counter() - start)
 
 
-def run_evaluate(run_dir, workers: int | None = None) -> MetricsReport:
-    """Rebuild the persisted predictor and score it on the test split,
-    on ``workers`` processes (default: every usable core)."""
-    workers = worker_count(workers)
+def run_evaluate(run_dir) -> MetricsReport:
+    """Rebuild the persisted predictor and score it on the test split."""
     predictor, config, stats = load_predictor(run_dir)
-    predictor.workers = workers
     test = build_dataset(config, "test")
     return evaluate_predictor(predictor, config, stats, test)
 
 
-def sweep_ensemble(config: RunConfig, max_size: int | None = None,
-                   workers: int | None = None) -> list[MetricsReport]:
+def sweep_ensemble(config: RunConfig, max_size: int | None = None
+                   ) -> list[MetricsReport]:
     """Deep-ensemble size sweep 1..M from a single trained member pool.
 
     Each member is evaluated once; the size-k report scores the average
     of the first k members' rows, and its ``wall_clock_seconds`` is the
-    shared evaluation of all M members plus that average. ``workers`` is
-    as in ``run_train``."""
+    shared evaluation of all M members plus that average."""
     config = dataclasses.replace(
         config, strategy="deep",
         ensemble_size=config.ensemble_size if max_size is None else max_size,
     )
-    result = run_train(config, workers)
+    result = run_train(config)
     test = build_dataset(config, "test")
     start = time.perf_counter()
     if result.stats is not None:

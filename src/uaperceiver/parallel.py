@@ -1,14 +1,17 @@
 """Independent work on every usable core.
 
 ``parallel_map`` forks worker processes for the duration of one call:
-the parent runs the first share of the items itself and each child one
-further share, and the results come back in item order. Forking, not
-spawning, lets a child start from the parent's loaded modules, model
-and dataset without pickling them; only results travel back. The
-package starts no threads of its own; OpenBLAS stops its thread pool
-before a fork and starts it again on its next call.
+the items split into one contiguous share per process, the parent runs
+the first share itself and each child one further share, and the
+results come back in share order. Forking, not spawning, lets a child
+start from the parent's loaded modules, model and dataset without
+pickling them; only results travel back. The package starts no threads
+of its own; OpenBLAS stops its thread pool before a fork and starts it
+again on its next call.
 
-Results do not depend on the worker count: every item runs the same
+The worker count is not an option: it is every core this process may
+run on (``os.sched_getaffinity``; ``taskset`` lowers it), capped at the
+number of items. Results do not depend on it: every item runs the same
 code on the same inputs, in-process or in a child. While children run,
 every process uses one BLAS thread, since two processes at two BLAS
 threads each on two cores run slower than one process alone.
@@ -24,19 +27,15 @@ import signal
 import warnings
 from pathlib import Path
 
-from .errors import UsageError, WorkerError
+from .errors import WorkerError
 from .model import score_counter
 
 
-def worker_count(requested: int | None, items: int | None = None) -> int:
-    """Processes to run: ``requested`` (all usable cores when None),
-    capped at the usable cores and at ``items``; at least 1."""
-    cores = len(os.sched_getaffinity(0))
-    if requested is None:
-        requested = cores
-    if type(requested) is not int or requested < 1:
-        raise UsageError(f"workers must be an integer >= 1, got {requested!r}")
-    return max(1, min(requested, cores, requested if items is None else items))
+def worker_count(items: int) -> int:
+    """Processes to run ``items`` items on: the usable cores (1 where the
+    platform cannot tell), capped at ``items``; at least 1."""
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    return max(1, min(cores, items))
 
 
 def _openblas_threads():
@@ -62,14 +61,13 @@ def _openblas_threads():
 
 
 def _run_child(fn, share, fd: int) -> None:
-    """Worker body: send (results, score deltas) or the exception raised,
+    """Worker body: send (result, score deltas) or the exception raised,
     then exit without running any of the parent's clean-up. A child that
     cannot send its reply exits without one."""
     try:
         before = (score_counter.cross, score_counter.latent)
         try:
-            results = [fn(item) for item in share]
-            reply = ("ok", results, score_counter.cross - before[0],
+            reply = ("ok", fn(share), score_counter.cross - before[0],
                      score_counter.latent - before[1])
             data = pickle.dumps(reply)
         except Exception as exc:  # noqa: BLE001 - re-raised in the parent
@@ -80,8 +78,8 @@ def _run_child(fn, share, fd: int) -> None:
         os._exit(0)
 
 
-def _receive(pipe, pid: int) -> list:
-    """The results a child sent, its score deltas added to this process's
+def _receive(pipe, pid: int):
+    """The result a child sent, its score deltas added to this process's
     counter; the child's exception is raised here."""
     data = pipe.read()
     try:
@@ -90,26 +88,27 @@ def _receive(pipe, pid: int) -> list:
         raise WorkerError(f"worker process {pid} exited without a result") from None
     if reply[0] == "error":
         raise reply[1]
-    _, results, cross, latent = reply
+    _, result, cross, latent = reply
     score_counter.cross += cross
     score_counter.latent += latent
-    return results
+    return result
 
 
-def parallel_map(fn, items, workers: int = 1) -> list:
-    """``[fn(item) for item in items]``, run on up to ``workers``
-    processes (capped by ``worker_count``) in contiguous shares.
+def parallel_map(fn, items) -> list:
+    """``[fn(share) for share in shares]``: the sequence ``items`` (a
+    list or a range) sliced into ``worker_count(len(items))`` contiguous
+    shares, one per process.
 
     The parent runs the first share; each forked child runs one more and
-    sends its results back through a pipe. An exception raised by ``fn``
+    sends its result back through a pipe. An exception raised by ``fn``
     in a child is raised again here, with its class and message. Every
-    child has exited when this returns or raises. Runs in-process when
-    one worker remains or the BLAS thread count cannot be pinned."""
-    items = list(items)
-    workers = worker_count(workers, len(items))
-    blas = _openblas_threads() if workers > 1 else None
+    child has exited when this returns or raises. Runs in-process (one
+    share) when one worker remains, the platform cannot fork or the BLAS
+    thread count cannot be pinned."""
+    workers = worker_count(len(items))
+    blas = _openblas_threads() if workers > 1 and hasattr(os, "fork") else None
     if blas is None:
-        return [fn(item) for item in items]
+        return [fn(items)]
     bounds = [len(items) * k // workers for k in range(workers + 1)]
     shares = [items[a:b] for a, b in zip(bounds, bounds[1:])]
     get_threads, set_threads = blas
@@ -134,9 +133,9 @@ def parallel_map(fn, items, workers: int = 1) -> list:
                 _run_child(fn, share, write_fd)
             os.close(write_fd)
             children.append((pid, os.fdopen(read_fd, "rb")))
-        results = [fn(item) for item in shares[0]]
+        results = [fn(shares[0])]
         for pid, pipe in children:
-            results += _receive(pipe, pid)
+            results.append(_receive(pipe, pid))
         finished = True
         return results
     finally:

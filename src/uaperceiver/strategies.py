@@ -20,6 +20,7 @@ bit-reproducible in isolation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -28,7 +29,7 @@ from .errors import NumericError, RangeError, UsageError
 from .metrics import softmax_rows, temperature_scale
 from .model import PerceiverConfig, batch_loss, forward_logits, init_params
 from .optim import AdamWSettings, AdamWState, adamw_step
-from .parallel import parallel_map, worker_count
+from .parallel import parallel_map
 from .params import ParamStore, swa_update
 from .rng import derive_seed, generator
 from .schedules import LRSchedule, capture_steps, lr_at
@@ -54,9 +55,6 @@ class Predictor:
     mc_delta: float = 0.0
     mc_samples: int = 0  # > 0: each member averages this many masked forwards
     mc_seed: int = 0
-    # processes member_probabilities may use; a run-time setting that
-    # changes no result, so predictor.json does not record it
-    workers: int = 1
 
     def __post_init__(self):
         if not self.members:
@@ -77,31 +75,31 @@ class Predictor:
     def member_probabilities(self, images) -> list[np.ndarray]:
         """One n x K block of probability rows per member, in member order.
 
-        The images split into one contiguous slice per worker, each run
-        through every member. A row does not depend on the slice it is in:
-        forwards are batch-invariant and MC image i draws its masks from
-        ``derive_seed(mc_seed, i)`` by its index in ``images``."""
+        The images split into one contiguous slice per worker
+        (``parallel_map``), each run through every member. A row does not
+        depend on the slice it is in: forwards are batch-invariant and MC
+        image i draws its masks from ``derive_seed(mc_seed, i)`` by its
+        index in ``images``."""
         images = np.asarray(images, dtype=np.float64)
         if images.ndim == 3:
             images = images[None]
-        slices = worker_count(self.workers, len(images))
-        bounds = [len(images) * k // slices for k in range(slices + 1)]
-        blocks = parallel_map(lambda span: self._slice_probabilities(images, *span),
-                              zip(bounds, bounds[1:]), slices)
+        blocks = parallel_map(lambda span: self._slice_probabilities(images, span),
+                              range(len(images)))
         return [np.concatenate(parts) for parts in zip(*blocks)]
 
-    def _slice_probabilities(self, images, start: int, stop: int) -> list[np.ndarray]:
-        """Each member's probability rows for ``images[start:stop]``."""
+    def _slice_probabilities(self, images, span: range) -> list[np.ndarray]:
+        """Each member's probability rows for the images at ``span``."""
         member_probs = []
         for j, store in enumerate(self.members):
             if self.mc_samples:
                 probs = np.stack([
                     mc_predict(self.config, store, images[i], self.mc_delta,
                                self.mc_samples, derive_seed(self.mc_seed, i))
-                    for i in range(start, stop)
+                    for i in span
                 ])
             else:
-                logits = forward_logits(self.config, store, images[start:stop])
+                logits = forward_logits(self.config, store,
+                                        images[span.start:span.stop])
                 if self.temperatures is not None:
                     logits = logits / self.temperatures[j]
                 probs = softmax_rows(logits)
@@ -206,19 +204,19 @@ def deep_ensemble_train(
     dataset: Dataset,
     schedule: LRSchedule,
     settings: TrainSettings = TrainSettings(),
-    workers: int = 1,
 ) -> tuple[Predictor, list[TrainRunLog]]:
     """Independently seeded members, each temperature-scaled before the
-    uniform probability average. Members train on up to ``workers``
-    processes; each is the same at any worker count."""
+    uniform probability average. Members train in worker processes
+    (``parallel_map``); each is the same in any of them."""
     if ensemble_size < 1:
         raise UsageError(f"ensemble_size must be >= 1, got {ensemble_size}")
-    trained = parallel_map(
-        lambda m: train_member(config, dataset, schedule,
-                               derive_seed(base_seed, m), settings),
-        range(ensemble_size), workers,
+    shares = parallel_map(
+        lambda span: [train_member(config, dataset, schedule,
+                                   derive_seed(base_seed, m), settings)
+                      for m in span],
+        range(ensemble_size),
     )
-    members, temps, logs = (list(column) for column in zip(*trained))
+    members, temps, logs = (list(column) for column in zip(*chain(*shares)))
     kind = "deep_ensemble" if ensemble_size > 1 else "single"
     return Predictor(kind, config, members, temperatures=temps), logs
 

@@ -507,7 +507,7 @@ def test_sweep_rows_equal_prefix_predictors(tmp_path):
 
 
 def test_sweep_evaluates_each_member_once(tmp_path, monkeypatch):
-    from uaperceiver import strategies
+    from uaperceiver import parallel, strategies
     from uaperceiver.data import split_calibration
 
     rows = []
@@ -521,7 +521,8 @@ def test_sweep_evaluates_each_member_once(tmp_path, monkeypatch):
     monkeypatch.setattr(strategies, "forward_logits", counting)
     config = tiny_run_config(tmp_path, train_steps=2)
     # the patch counts rows in this process only, so no worker may run them
-    ua.sweep_ensemble(config, max_size=3, workers=1)
+    monkeypatch.setattr(parallel, "worker_count", lambda items: 1)
+    ua.sweep_ensemble(config, max_size=3)
     train, test = build_datasets(config)
     calibration = len(split_calibration(train, 0)[1])
     assert sum(rows) == 3 * (calibration + len(test))

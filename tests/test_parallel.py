@@ -1,7 +1,6 @@
-"""Forked workers: worker-count resolution, result order, error and
+"""Forked workers: worker-count resolution, share order, error and
 process hygiene, and results that do not depend on the worker count."""
 
-import dataclasses
 import os
 from pathlib import Path
 
@@ -9,16 +8,20 @@ import numpy as np
 import pytest
 
 import uaperceiver as ua
-from uaperceiver import model, strategies
+from uaperceiver import model, parallel, strategies
 from uaperceiver.cli import main
-from uaperceiver.errors import ConfigError, NumericError, UsageError, WorkerError
+from uaperceiver.errors import ConfigError, NumericError, WorkerError
 from uaperceiver.parallel import _openblas_threads, parallel_map, worker_count
 from uaperceiver.rng import derive_seed
 
 from test_harness import tiny_run_config, without_wall_clock, write_tiny_config
 
 CORES = len(os.sched_getaffinity(0))
-two_cores = pytest.mark.skipif(CORES < 2, reason="needs 2 usable cores")
+
+
+def use_workers(monkeypatch, n):
+    """Make ``parallel_map`` use ``n`` processes (capped at the items)."""
+    monkeypatch.setattr(parallel, "worker_count", lambda items: max(1, min(n, items)))
 
 
 def assert_reaped(pid):
@@ -27,72 +30,84 @@ def assert_reaped(pid):
         os.kill(pid, 0)
 
 
+def flat_pids(shares):
+    return {pid for share in shares for _, pid in share}
+
+
 # ---- worker count ----------------------------------------------------
 
 
-@pytest.mark.parametrize("requested", [0, -1, -8, 1.0, "2", True])
-def test_worker_count_rejects_non_positive_or_non_integer(requested):
-    with pytest.raises(UsageError, match="workers must be an integer >= 1"):
-        worker_count(requested)
+@pytest.mark.parametrize("cores,items,expected", [
+    (2, 0, 1), (2, -3, 1), (2, 1, 1), (2, 2, 2), (2, 9, 2), (8, 3, 3), (1, 5, 1),
+])
+def test_worker_count_is_the_usable_cores_capped_at_the_items(
+        monkeypatch, cores, items, expected):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+    assert worker_count(items) == expected
 
 
-def test_worker_count_caps_at_cores_and_items():
-    assert worker_count(None) == CORES
-    assert worker_count(1) == 1
-    assert worker_count(CORES + 7) == CORES
-    assert worker_count(CORES + 7, items=1) == 1
-    assert worker_count(None, items=1) == 1
-    assert worker_count(2, items=0) == 1
+def test_worker_count_is_one_where_usable_cores_are_unknown(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert worker_count(4) == 1
 
 
 # ---- parallel_map ----------------------------------------------------
 
 
-def test_parallel_map_keeps_item_order_and_stays_within_the_cap():
-    out = parallel_map(lambda x: (x * x, os.getpid()), range(7), workers=CORES + 5)
-    assert [v for v, _ in out] == [x * x for x in range(7)]
-    pids = {pid for _, pid in out}
-    assert len(pids) == min(CORES, 7)
+def test_parallel_map_keeps_share_order_and_stays_within_the_cap():
+    shares = parallel_map(lambda share: [(x * x, os.getpid()) for x in share], range(7))
+    assert len(shares) == min(CORES, 7)
+    assert [v for share in shares for v, _ in share] == [x * x for x in range(7)]
+    pids = flat_pids(shares)
+    assert len(pids) == len(shares)
     for pid in pids - {os.getpid()}:
         assert_reaped(pid)
 
 
-@two_cores
-def test_worker_exception_is_raised_with_its_class_and_message():
+def test_parallel_map_runs_in_process_where_the_platform_cannot_fork(monkeypatch):
+    use_workers(monkeypatch, 2)
+    monkeypatch.delattr(os, "fork")
+    shares = parallel_map(lambda share: [(x, os.getpid()) for x in share], range(4))
+    assert len(shares) == 1 and flat_pids(shares) == {os.getpid()}
+
+
+def test_worker_exception_is_raised_with_its_class_and_message(monkeypatch):
+    use_workers(monkeypatch, 2)
     pids = []
 
-    def fail_in_worker(x):
-        if x == 1:
-            raise NumericError(f"member {x} diverged in {os.getpid()}")
+    def fail_in_worker(share):
+        if 1 in share:
+            raise NumericError(f"member 1 diverged in {os.getpid()}")
         pids.append(os.getpid())
-        return x
+        return list(share)
 
     with pytest.raises(NumericError, match="member 1 diverged in") as info:
-        parallel_map(fail_in_worker, range(2), workers=2)
+        parallel_map(fail_in_worker, range(2))
     worker = int(str(info.value).rsplit(" ", 1)[1])
     assert pids == [os.getpid()] and worker != os.getpid()
     assert_reaped(worker)
 
 
-@two_cores
-def test_worker_dying_without_a_result_is_a_worker_error():
-    def die_in_worker(x):
-        if x == 1:
+def test_worker_dying_without_a_result_is_a_worker_error(monkeypatch):
+    use_workers(monkeypatch, 2)
+
+    def die_in_worker(share):
+        if 1 in share:
             os._exit(1)
-        return x
+        return list(share)
 
     with pytest.raises(WorkerError, match="exited without a result"):
-        parallel_map(die_in_worker, range(2), workers=2)
+        parallel_map(die_in_worker, range(2))
 
 
-@two_cores
-def test_workers_run_one_blas_thread_and_the_count_is_restored():
+def test_workers_run_one_blas_thread_and_the_count_is_restored(monkeypatch):
     blas = _openblas_threads()
     if blas is None:
         pytest.skip("no OpenBLAS loaded")
+    use_workers(monkeypatch, 2)
     get_threads = blas[0]
     before = get_threads()
-    assert parallel_map(lambda x: get_threads(), range(2), workers=2) == [1, 1]
+    assert parallel_map(lambda share: get_threads(), range(2)) == [1, 1]
     assert get_threads() == before
 
 
@@ -110,29 +125,44 @@ def test_run_directory_and_report_identical_at_one_and_two_workers(
     monkeypatch.chdir(tmp_path)
     reports, trees = [], []
     for workers in (1, 2):
-        ua.run_train(tiny_run_config("run", strategy=strategy, **extra), workers)
-        reports.append(without_wall_clock(ua.run_evaluate("run", workers)))
+        use_workers(monkeypatch, workers)
+        ua.run_train(tiny_run_config("run", strategy=strategy, **extra))
+        reports.append(without_wall_clock(ua.run_evaluate("run")))
         run = Path("run").rename(f"w{workers}")
         trees.append({p.name: p.read_bytes() for p in sorted(run.iterdir())})
     assert trees[0] == trees[1]
     assert reports[0] == reports[1]
 
 
-def test_sweep_reports_identical_at_one_and_two_workers(tmp_path):
+def test_run_train_and_evaluate_where_usable_cores_are_unknown(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    trees = []
+    for name in ("default", "unknown"):
+        if name == "unknown":
+            monkeypatch.delattr(os, "sched_getaffinity")
+        ua.run_train(tiny_run_config("run", strategy="deep", ensemble_size=2))
+        assert ua.run_evaluate("run").accuracy >= 0.0
+        run = Path("run").rename(name)
+        trees.append({p.name: p.read_bytes() for p in sorted(run.iterdir())})
+    assert trees[0] == trees[1]
+
+
+def test_sweep_reports_identical_at_one_and_two_workers(tmp_path, monkeypatch):
     series = []
     for workers in (1, 2):
+        use_workers(monkeypatch, workers)
         config = tiny_run_config(tmp_path / "sweep", train_steps=2)
-        reports = ua.sweep_ensemble(config, max_size=3, workers=workers)
+        reports = ua.sweep_ensemble(config, max_size=3)
         series.append([without_wall_clock(r) for r in reports])
     assert series[0] == series[1]
 
 
-def test_score_counts_of_a_two_worker_evaluation_equal_sequential(tmp_path):
-    result = ua.run_train(tiny_run_config(tmp_path, strategy="mc"), workers=1)
+def test_score_counts_of_a_two_worker_evaluation_equal_sequential(tmp_path, monkeypatch):
+    predictor = ua.run_train(tiny_run_config(tmp_path, strategy="mc")).predictor
     images = ua.synth_dataset(3, 10, resolution=4, num_classes=3, channels=1).images
     counts, rows = [], []
     for workers in (1, 2):
-        predictor = dataclasses.replace(result.predictor, workers=workers)
+        use_workers(monkeypatch, workers)
         before = (model.score_counter.cross, model.score_counter.latent)
         rows.append(predictor.probabilities(images))
         counts.append((model.score_counter.cross - before[0],
@@ -144,8 +174,8 @@ def test_score_counts_of_a_two_worker_evaluation_equal_sequential(tmp_path):
 # ---- the CLI -----------------------------------------------------------
 
 
-@two_cores
 def test_cli_error_inside_a_worker_exits_2_with_one_line(tmp_path, capsys, monkeypatch):
+    use_workers(monkeypatch, 2)
     train_member = strategies.train_member
     pid_file = tmp_path / "worker.pid"
 
@@ -158,20 +188,9 @@ def test_cli_error_inside_a_worker_exits_2_with_one_line(tmp_path, capsys, monke
     monkeypatch.setattr(strategies, "train_member", failing)
     cfg = write_tiny_config(tmp_path, strategy="deep")
     out = tmp_path / "run"
-    assert main(["train", "--config", str(cfg), "--out-dir", str(out),
-                 "--workers", "2"]) == 2
+    assert main(["train", "--config", str(cfg), "--out-dir", str(out)]) == 2
     assert capsys.readouterr().err == "config error: member 1 cannot train\n"
     worker = int(pid_file.read_text())
     assert worker != os.getpid()
     assert_reaped(worker)
     assert not (out / "predictor.json").exists()
-
-
-def test_cli_rejects_a_bad_worker_count_before_creating_out_dir(tmp_path, capsys):
-    cfg = write_tiny_config(tmp_path)
-    out = tmp_path / "run"
-    assert main(["train", "--config", str(cfg), "--out-dir", str(out),
-                 "--workers", "0"]) == 2
-    assert capsys.readouterr().err == (
-        "usage error: workers must be an integer >= 1, got 0\n")
-    assert not out.exists()
