@@ -27,8 +27,10 @@ from .tensor import Tensor
 
 LN_EPS = 1e-5
 
-# images per forward in forward_logits: larger chunks raise evaluation's
-# peak memory without running faster
+# images per graph: forward_logits runs one forward per chunk, and a
+# training step one forward + backward per chunk of its batch
+# (strategies.chunk_gradients). Larger chunks raise peak memory, and a
+# training graph of more images runs slower once it outgrows the cache.
 FORWARD_CHUNK = 8
 
 # std of a unit normal truncated at +/-2; draws are rescaled by this so

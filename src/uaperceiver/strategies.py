@@ -27,9 +27,10 @@ import numpy as np
 from .data import Dataset, make_batches, split_calibration
 from .errors import NumericError, RangeError, UsageError
 from .metrics import softmax_rows, temperature_scale
-from .model import PerceiverConfig, batch_loss, forward_logits, init_params
+from .model import (FORWARD_CHUNK, PerceiverConfig, batch_loss, forward_logits,
+                    init_params)
 from .optim import AdamWSettings, AdamWState, adamw_step
-from .parallel import parallel_map
+from .parallel import Workers, parallel_map
 from .params import ParamStore, swa_update
 from .rng import derive_seed, generator
 from .schedules import LRSchedule, capture_steps, lr_at
@@ -140,31 +141,83 @@ def train_model(
 ) -> TrainRunLog:
     """Run AdamW for schedule.total_steps, mutating ``params`` in place.
 
-    Data order reshuffles every epoch from seeds derived off ``seed``."""
+    Data order reshuffles every epoch from seeds derived off ``seed``. A
+    batch of at most FORWARD_CHUNK images is one graph. A larger one is
+    one graph per FORWARD_CHUNK images, spread over a worker group opened
+    once for the run (``chunk_gradients``)."""
     log = TrainRunLog()
     state = AdamWState(params, settings.adamw)
     mask_rng = generator(seed, 0xD0) if settings.mc_delta > 0 else None
+    names, tensors = zip(*params.items())
+    batch = min(settings.batch_size, len(dataset))
+
+    def share_gradients(args, share):
+        values, images, labels = args
+        for tensor, value in zip(tensors, values):
+            tensor.data = value  # a child's copy; the same array in the parent
+        return chunk_gradients(config, params, images, labels, share)
+
     batches: list = []
     epoch = 0
-    for t in range(1, schedule.total_steps + 1):
-        if not batches:
-            batches = make_batches(dataset, settings.batch_size,
-                                   derive_seed(seed, epoch))
-            epoch += 1
-        images, labels = batches.pop(0)
-        if mask_rng is not None:
-            images = mc_dropout_mask(images, settings.mc_delta, mask_rng)
-        loss = batch_loss(config, params, images, labels)
-        loss_value = float(loss.data)
-        if not np.isfinite(loss_value):
-            raise NumericError(f"non-finite loss at step {t}")
-        grads = loss.backward()
-        lr = lr_at(schedule, t)
-        adamw_step(params, {n: grads.get(p) for n, p in params.items()}, state, lr)
-        log.steps.append((t, lr, loss_value))
-        if on_step is not None:
-            on_step(t, params, log)
+    with Workers(share_gradients, -(-batch // FORWARD_CHUNK)) as workers:
+        for t in range(1, schedule.total_steps + 1):
+            if not batches:
+                batches = make_batches(dataset, settings.batch_size,
+                                       derive_seed(seed, epoch))
+                epoch += 1
+            images, labels = batches.pop(0)
+            if mask_rng is not None:
+                images = mc_dropout_mask(images, settings.mc_delta, mask_rng)
+            n_chunks = -(-len(labels) // FORWARD_CHUNK)
+            if n_chunks == 1:
+                parts = chunk_gradients(config, params, images, labels, range(1))
+            else:
+                args = ([p.data for p in tensors], images, labels)
+                parts = chain(*workers.map(args, range(n_chunks),
+                                           last=t == schedule.total_steps))
+            loss_value, grads = _sum_parts(parts)
+            if not np.isfinite(loss_value):
+                raise NumericError(f"non-finite loss at step {t}")
+            lr = lr_at(schedule, t)
+            adamw_step(params, dict(zip(names, grads)), state, lr)
+            log.steps.append((t, lr, loss_value))
+            if on_step is not None:
+                on_step(t, params, log)
     return log
+
+
+def chunk_gradients(config: PerceiverConfig, params: ParamStore, images, labels,
+                    chunks) -> list[tuple[float, list]]:
+    """(loss, gradients in ``params`` order) of each FORWARD_CHUNK-image
+    chunk of a batch named in ``chunks``, both weighted by the chunk's
+    share of the batch, so the batch's mean loss and its gradients are
+    the sums of the parts. A chunk that is the whole batch is one graph,
+    unweighted."""
+    parts = []
+    for c in chunks:
+        rows = slice(c * FORWARD_CHUNK, (c + 1) * FORWARD_CHUNK)
+        loss = batch_loss(config, params, images[rows], labels[rows])
+        loss_value = float(loss.data)
+        found = loss.backward()
+        grads = [found.get(p) for _, p in params.items()]
+        weight = len(labels[rows]) / len(labels)
+        if weight != 1.0:
+            loss_value *= weight
+            grads = [None if g is None else weight * g for g in grads]
+        parts.append((loss_value, grads))
+    return parts
+
+
+def _sum_parts(parts) -> tuple[float, list]:
+    """Loss and gradients summed over weighted chunk parts, in order."""
+    parts = iter(parts)
+    loss_value, grads = next(parts)
+    for loss, more in parts:
+        loss_value += loss
+        for g, m in zip(grads, more):
+            if g is not None:
+                g += m
+    return loss_value, grads
 
 
 def train_member(

@@ -1,7 +1,9 @@
 """Forked workers: worker-count resolution, share order, error and
-process hygiene, and results that do not depend on the worker count."""
+process hygiene, worker groups held for a training run, and results that
+do not depend on the worker count."""
 
 import os
+import time
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +13,7 @@ import uaperceiver as ua
 from uaperceiver import model, parallel, strategies
 from uaperceiver.cli import main
 from uaperceiver.errors import ConfigError, NumericError, WorkerError
-from uaperceiver.parallel import _openblas_threads, parallel_map, worker_count
+from uaperceiver.parallel import Workers, _openblas_threads, parallel_map, worker_count
 from uaperceiver.rng import derive_seed
 
 from test_harness import tiny_run_config, without_wall_clock, write_tiny_config
@@ -32,6 +34,12 @@ def assert_reaped(pid):
 
 def flat_pids(shares):
     return {pid for share in shares for _, pid in share}
+
+
+def assert_no_child_left():
+    """This process has no child at all, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 # ---- worker count ----------------------------------------------------
@@ -111,6 +119,69 @@ def test_workers_run_one_blas_thread_and_the_count_is_restored(monkeypatch):
     assert get_threads() == before
 
 
+def test_groups_do_not_nest(monkeypatch):
+    use_workers(monkeypatch, 2)
+    outer = parallel_map(
+        lambda share: (os.getpid(), parallel_map(lambda s: os.getpid(), range(2))),
+        range(2))
+    assert outer[0][0] == os.getpid() and outer[1][0] != os.getpid()
+    # each process's inner call ran in that process alone
+    assert [inner for _, inner in outer] == [[pid] for pid, _ in outer]
+    assert_no_child_left()
+    # the outer group has ended, so the next call forks again
+    assert len(set(parallel_map(lambda s: os.getpid(), range(2)))) == 2
+
+
+# ---- a group held over many calls ---------------------------------------
+
+
+def test_a_group_forks_once_and_serves_every_call(monkeypatch):
+    use_workers(monkeypatch, 2)
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    with Workers(lambda args, share: [(args * x, os.getpid()) for x in share], 5) as w:
+        calls = [w.map(k, range(5)) for k in (1, 10, 100)]
+    assert forks == [1]
+    for k, shares in zip((1, 10, 100), calls):
+        assert [v for share in shares for v, _ in share] == [k * x for x in range(5)]
+    assert len({pid for shares in calls for pid in flat_pids(shares)}) == 2
+    assert_no_child_left()
+
+
+def test_children_exit_by_themselves_after_the_last_call(monkeypatch):
+    use_workers(monkeypatch, 2)
+    with Workers(lambda args, share: list(share), 2) as w:
+        assert w.map(None, range(2), last=True) == [[0], [1]]
+        [(pid, _, _)] = w._children
+        stat = Path(f"/proc/{pid}/stat")
+        deadline = time.monotonic() + 10
+        # a zombie ("Z") has exited and waits to be reaped
+        while stat.read_text().rsplit(")", 1)[1].split()[0] != "Z":
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+    assert_no_child_left()
+
+
+def test_a_group_runs_in_process_with_one_worker(monkeypatch):
+    use_workers(monkeypatch, 1)
+    with Workers(lambda args, share: (args, list(share), os.getpid()), 4) as w:
+        assert w.map("a", range(4)) == [("a", [0, 1, 2, 3], os.getpid())]
+
+
+def test_training_forks_once_per_run(tmp_path, monkeypatch):
+    use_workers(monkeypatch, 2)
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    config = tiny_run_config(tmp_path, strategy="snapshot", batch_size=16)
+    strategies.snapshot_train(config.model_config(), 0,
+                              ua.synth_dataset(0, 24, resolution=4, channels=1),
+                              config.schedule(), config.train_settings())
+    assert forks == [1] and config.train_steps > 1
+    assert_no_child_left()
+
+
 # ---- results do not depend on the worker count -------------------------
 
 
@@ -118,6 +189,11 @@ def test_workers_run_one_blas_thread_and_the_count_is_restored(monkeypatch):
     ("deep", {"ensemble_size": 3}),
     ("snapshot", {}),
     ("mc", {}),
+    # batches of more than one chunk; a short last batch is one graph
+    ("snapshot", {"batch_size": 32, "synth_train": 40}),
+    ("swa", {"batch_size": 16}),
+    ("mc", {"mc_delta": 0.2, "batch_size": 16}),
+    ("deep", {"ensemble_size": 2, "batch_size": 16}),
 ])
 def test_run_directory_and_report_identical_at_one_and_two_workers(
         tmp_path, monkeypatch, strategy, extra):
@@ -172,6 +248,47 @@ def test_score_counts_of_a_two_worker_evaluation_equal_sequential(tmp_path, monk
 
 
 # ---- the CLI -----------------------------------------------------------
+
+
+def fail_in_child_chunks(monkeypatch, failure):
+    """Make the second batch a training worker computes call ``failure``."""
+    parent = os.getpid()
+    chunk_gradients = strategies.chunk_gradients
+    seen = []
+
+    def failing(*args):
+        if os.getpid() != parent:
+            seen.append(1)
+            if len(seen) == 2:
+                failure()
+        return chunk_gradients(*args)
+
+    monkeypatch.setattr(strategies, "chunk_gradients", failing)
+
+
+def test_cli_error_in_a_training_chunk_exits_2_with_one_line(
+        tmp_path, capsys, monkeypatch):
+    use_workers(monkeypatch, 2)
+
+    def diverge():
+        raise NumericError("chunk diverged")
+
+    fail_in_child_chunks(monkeypatch, diverge)
+    cfg = write_tiny_config(tmp_path, strategy="snapshot", batch_size=16)
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(cfg), "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == "numeric error: chunk diverged\n"
+    assert not (out / "predictor.json").exists()
+    assert_no_child_left()
+
+
+def test_training_worker_dying_mid_run_is_a_worker_error(tmp_path, monkeypatch):
+    use_workers(monkeypatch, 2)
+    fail_in_child_chunks(monkeypatch, lambda: os._exit(1))
+    with pytest.raises(WorkerError, match="exited without a result"):
+        ua.run_train(tiny_run_config(tmp_path, strategy="snapshot", batch_size=16))
+    assert_no_child_left()
+
 
 
 def test_cli_error_inside_a_worker_exits_2_with_one_line(tmp_path, capsys, monkeypatch):

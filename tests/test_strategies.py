@@ -6,10 +6,12 @@ import pytest
 
 import uaperceiver as ua
 from uaperceiver.errors import RangeError, UsageError
-from uaperceiver.model import forward_logits, init_params
+from uaperceiver.model import FORWARD_CHUNK, batch_loss, forward_logits, init_params
 from uaperceiver.metrics import softmax_rows
 from uaperceiver.rng import derive_seed, generator
-from uaperceiver.strategies import train_model
+from uaperceiver.strategies import chunk_gradients, train_model
+
+from test_model import CRITERION7, LEARNABLE_UNSHARED_R3
 
 FAST = ua.TrainSettings(batch_size=4)
 
@@ -356,3 +358,44 @@ def test_train_member_temperature_positive(tiny_config, tiny_dataset):
         tiny_config, tiny_dataset, constant(3), 30, FAST, fit_temperature=False
     )
     assert temp_off == 1.0
+
+
+# ---- chunked batch gradients ------------------------------------------
+
+
+def one_graph(config, params, images, labels):
+    """(loss, gradients in store order) of the batch as a single graph."""
+    loss = batch_loss(config, params, images, labels)
+    found = loss.backward()
+    return float(loss.data), [found.get(p) for _, p in params.items()]
+
+
+@pytest.mark.parametrize("config", [CRITERION7, ua.PerceiverConfig(),
+                                    LEARNABLE_UNSHARED_R3],
+                         ids=["criterion7", "default", "learnable-unshared-r3"])
+def test_chunked_gradients_sum_to_the_batch_gradient(config):
+    data = ua.synth_dataset(3, 29)  # three full chunks and a ragged one
+    params = init_params(config, 4)
+    parts = chunk_gradients(config, params, data.images, data.labels,
+                            range(-(-29 // FORWARD_CHUNK)))
+    assert len(parts) == 4
+    loss, grads = one_graph(config, params, data.images, data.labels)
+    # summed in chunk order, as train_model does
+    assert sum(part[0] for part in parts) == pytest.approx(loss, rel=1e-12, abs=0)
+    # one bound over the whole gradient: a k.b gradient is rounding noise
+    # around an exact zero, so a per-tensor relative bound cannot hold there
+    scale = max(np.abs(g).max() for g in grads)
+    for i, g in enumerate(grads):
+        summed = sum(part[1][i] for part in parts)
+        assert np.abs(summed - g).max() <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("batch", [1, 5, FORWARD_CHUNK])
+def test_a_batch_of_one_chunk_is_one_graph_bit_for_bit(tiny_config, tiny_dataset, batch):
+    params = init_params(tiny_config, 5)
+    images, labels = tiny_dataset.images[:batch], tiny_dataset.labels[:batch]
+    [(loss, grads)] = chunk_gradients(tiny_config, params, images, labels, range(1))
+    expected_loss, expected = one_graph(tiny_config, params, images, labels)
+    assert loss == expected_loss
+    for g, e in zip(grads, expected):
+        np.testing.assert_array_equal(g, e)
