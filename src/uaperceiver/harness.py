@@ -50,7 +50,6 @@ from .strategies import (
     swa_train,
     train_member,
 )
-from .tensor import Tensor
 
 STRATEGIES = ("single", "deep", "swa", "snapshot", "fast", "mc")
 # config counts that only one strategy reads; each must be >= 1 under it
@@ -135,8 +134,12 @@ class RunConfig(PerceiverConfig):
             raise ConfigError(f"mc_delta must lie in [0, 1], got {self.mc_delta}")
         if self.strategy == "snapshot":
             self._at_least(0, "snapshot_last")
-        if not self.synth_noise >= 0.0:
-            raise ConfigError(f"synth_noise must be >= 0, got {self.synth_noise}")
+        if not 0.0 <= self.synth_noise < math.inf:
+            raise ConfigError(
+                f"synth_noise must be finite and >= 0, got {self.synth_noise}")
+        if not math.isfinite(self.synth_contrast):
+            raise ConfigError(
+                f"synth_contrast must be finite, got {self.synth_contrast}")
         try:
             self.train_settings()
         except RangeError as exc:
@@ -238,31 +241,26 @@ def config_echo(config: RunConfig) -> str:
 
 def save_checkpoint(path, store: ParamStore, echo: str) -> None:
     """Binary layout: magic, u32 version, u64-length config echo, u32
-    tensor count, manifest of (name, shape, payload offset), then a flat
-    little-endian float64 payload. Round-trips bit-exactly."""
+    tensor count, manifest of (name, shape, payload offset), then the
+    store's vector as a flat little-endian float64 payload, so each
+    offset is the byte size of the tensors before it. Round-trips
+    bit-exactly."""
     echo_bytes = echo.encode("utf-8")
     manifest = bytearray()
-    payload = bytearray()
     offset = 0
-    count = 0
-    for name, t in store.items():
+    for name, shape in store.shapes().items():
         name_bytes = name.encode("utf-8")
         manifest += struct.pack("<I", len(name_bytes)) + name_bytes
-        manifest += struct.pack("<I", t.data.ndim)
-        for extent in t.data.shape:
-            manifest += struct.pack("<Q", extent)
-        manifest += struct.pack("<Q", offset)
-        payload += t.data.astype("<f8").tobytes()
-        offset += t.data.size * 8
-        count += 1
+        manifest += struct.pack(f"<I{len(shape)}QQ", len(shape), *shape, offset)
+        offset += 8 * math.prod(shape)
     blob = (
         CHECKPOINT_MAGIC
         + struct.pack("<I", CHECKPOINT_VERSION)
         + struct.pack("<Q", len(echo_bytes))
         + echo_bytes
-        + struct.pack("<I", count)
+        + struct.pack("<I", len(store.names()))
         + bytes(manifest)
-        + bytes(payload)
+        + store.vector.astype("<f8").tobytes()
     )
     _replace_file(Path(path), blob)
 
@@ -276,6 +274,8 @@ def _replace_file(path: Path, data: bytes) -> None:
 
 
 def load_checkpoint(path) -> tuple[ParamStore, str]:
+    """(store, config echo) of a checkpoint in ``save_checkpoint``'s
+    layout; any other layout is a FormatError."""
     raw = Path(path).read_bytes()
     view = memoryview(raw)
     pos = 0
@@ -302,27 +302,28 @@ def load_checkpoint(path) -> tuple[ParamStore, str]:
     (echo_len,) = struct.unpack("<Q", take(8))
     echo = text(echo_len)
     (count,) = struct.unpack("<I", take(4))
-    entries = []
+    shapes: dict[str, tuple] = {}
+    size = 0  # bytes of the tensors read so far
     for _ in range(count):
         (name_len,) = struct.unpack("<I", take(4))
         name = text(name_len)
         (ndim,) = struct.unpack("<I", take(4))
         shape = tuple(struct.unpack("<Q", take(8))[0] for _ in range(ndim))
         (offset,) = struct.unpack("<Q", take(8))
-        entries.append((name, shape, offset))
+        if name in shapes:
+            raise FormatError(f"{path}: tensor {name!r} appears twice")
+        if offset != size:  # save_checkpoint packs the tensors back to back
+            raise FormatError(f"{path}: tensor {name!r} has payload offset "
+                              f"{offset}, expected {size}")
+        shapes[name] = shape
+        size += 8 * math.prod(shape)  # exact: never wraps like int64
     payload = view[pos:]
-    store = ParamStore()
-    for name, shape, offset in entries:
-        size = math.prod(shape)  # exact: never wraps like int64
-        if offset + 8 * size > len(payload):
-            raise FormatError(f"{path}: truncated payload for tensor {name!r}")
-        try:
-            arr = np.frombuffer(
-                payload, dtype="<f8", count=size, offset=offset
-            ).reshape(shape)
-        except ValueError as exc:  # e.g. more axes than numpy supports
-            raise FormatError(f"{path}: bad shape for tensor {name!r}: {exc}") from None
-        store.add(name, Tensor(arr))
+    if size > len(payload):
+        raise FormatError(f"{path}: truncated payload, {len(payload)} of {size} bytes")
+    try:
+        store = ParamStore(shapes, np.frombuffer(payload, dtype="<f8", count=size // 8))
+    except ValueError as exc:  # e.g. more axes than numpy supports
+        raise FormatError(f"{path}: bad shape: {exc}") from None
     return store, echo
 
 

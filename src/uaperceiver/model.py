@@ -23,7 +23,6 @@ from . import tensor as T
 from .errors import ConfigError, DimensionError, RangeError, UsageError
 from .params import ParamStore
 from .rng import generator
-from .tensor import Tensor
 
 LN_EPS = 1e-5
 
@@ -212,15 +211,13 @@ def init_params(config: PerceiverConfig, seed: int) -> ParamStore:
     learned latent array and position table, zero biases/betas, unit
     layer-norm gammas."""
     rng = generator(seed, 0)
-    store = ParamStore()
-    for name, shape in param_shapes(config).items():
+    store = ParamStore(param_shapes(config), np.zeros(param_count(config)[0]),
+                       requires_grad=True)
+    for name, t in store.items():  # .b and .beta stay zero
         if name.endswith(".w") or name in ("latent.init", "input.pos_table"):
-            data = _trunc_normal(rng, shape)
+            t.data[...] = _trunc_normal(rng, t.shape)
         elif name.endswith(".gamma"):
-            data = np.ones(shape)
-        else:  # .b and .beta
-            data = np.zeros(shape)
-        store.add(name, Tensor(data, requires_grad=True))
+            t.data[...] = 1.0
     return store
 
 

@@ -148,13 +148,11 @@ def train_model(
     log = TrainRunLog()
     state = AdamWState(params, settings.adamw)
     mask_rng = generator(seed, 0xD0) if settings.mc_delta > 0 else None
-    names, tensors = zip(*params.items())
     batch = min(settings.batch_size, len(dataset))
 
     def share_gradients(args, share):
-        values, images, labels = args
-        for tensor, value in zip(tensors, values):
-            tensor.data = value  # a child's copy; the same array in the parent
+        vector, images, labels = args
+        params.vector[:] = vector  # a child's copy; the same array in the parent
         return chunk_gradients(config, params, images, labels, share)
 
     batches: list = []
@@ -172,14 +170,14 @@ def train_model(
             if n_chunks == 1:
                 parts = chunk_gradients(config, params, images, labels, range(1))
             else:
-                args = ([p.data for p in tensors], images, labels)
-                parts = chain(*workers.map(args, range(n_chunks),
+                parts = chain(*workers.map((params.vector, images, labels),
+                                           range(n_chunks),
                                            last=t == schedule.total_steps))
-            loss_value, grads = _sum_parts(parts)
+            loss_value, grad_vector = _sum_parts(parts)
             if not np.isfinite(loss_value):
                 raise NumericError(f"non-finite loss at step {t}")
             lr = lr_at(schedule, t)
-            adamw_step(params, dict(zip(names, grads)), state, lr)
+            adamw_step(params, grad_vector, state, lr)
             log.steps.append((t, lr, loss_value))
             if on_step is not None:
                 on_step(t, params, log)
@@ -187,37 +185,36 @@ def train_model(
 
 
 def chunk_gradients(config: PerceiverConfig, params: ParamStore, images, labels,
-                    chunks) -> list[tuple[float, list]]:
-    """(loss, gradients in ``params`` order) of each FORWARD_CHUNK-image
-    chunk of a batch named in ``chunks``, both weighted by the chunk's
-    share of the batch, so the batch's mean loss and its gradients are
-    the sums of the parts. A chunk that is the whole batch is one graph,
-    unweighted."""
+                    chunks) -> list[tuple[float, np.ndarray]]:
+    """(loss, gradient vector laid out like ``params.vector``) of each
+    FORWARD_CHUNK-image chunk of a batch named in ``chunks``, both
+    weighted by the chunk's share of the batch, so the batch's mean loss
+    and its gradient are the sums of the parts. A chunk that is the
+    whole batch is one graph, unweighted. Every parameter of a model's
+    store reaches its loss, so each has a gradient."""
     parts = []
     for c in chunks:
         rows = slice(c * FORWARD_CHUNK, (c + 1) * FORWARD_CHUNK)
         loss = batch_loss(config, params, images[rows], labels[rows])
         loss_value = float(loss.data)
         found = loss.backward()
-        grads = [found.get(p) for _, p in params.items()]
+        grad_vector = np.concatenate([found[p].ravel() for _, p in params.items()])
         weight = len(labels[rows]) / len(labels)
         if weight != 1.0:
             loss_value *= weight
-            grads = [None if g is None else weight * g for g in grads]
-        parts.append((loss_value, grads))
+            grad_vector *= weight
+        parts.append((loss_value, grad_vector))
     return parts
 
 
-def _sum_parts(parts) -> tuple[float, list]:
-    """Loss and gradients summed over weighted chunk parts, in order."""
+def _sum_parts(parts) -> tuple[float, np.ndarray]:
+    """Loss and gradient vector summed over weighted chunk parts, in order."""
     parts = iter(parts)
-    loss_value, grads = next(parts)
+    loss_value, grad_vector = next(parts)
     for loss, more in parts:
         loss_value += loss
-        for g, m in zip(grads, more):
-            if g is not None:
-                g += m
-    return loss_value, grads
+        grad_vector += more
+    return loss_value, grad_vector
 
 
 def train_member(

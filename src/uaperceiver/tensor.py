@@ -113,20 +113,25 @@ def _needs_grad(t: Tensor) -> bool:  # a trainable leaf or a path to one
     return t.requires_grad or t._backward is not None
 
 
+def view_leaf(data: np.ndarray, requires_grad: bool) -> Tensor:
+    """A leaf over ``data`` itself: neither copied nor checked, so the
+    caller vouches that it is float64 and finite."""
+    out = Tensor.__new__(Tensor)
+    out.data = data
+    out.requires_grad = requires_grad
+    out._parents = ()
+    out._backward = None
+    return out
+
+
 def _result(data: np.ndarray, parents: Sequence[Tensor], backward) -> Tensor:
     """Build an interior node; prune the graph when no parent needs grads."""
-    needs = any(_needs_grad(p) for p in parents)
-    out = Tensor.__new__(Tensor)
     if not np.all(np.isfinite(data)):
         raise NumericError("operation produced non-finite values")
-    out.data = data
-    out.requires_grad = False
-    if needs:
+    out = view_leaf(data, False)
+    if any(_needs_grad(p) for p in parents):
         out._parents = tuple(parents)
         out._backward = backward
-    else:
-        out._parents = ()
-        out._backward = None
     return out
 
 

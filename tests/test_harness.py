@@ -166,11 +166,16 @@ def test_model_config_is_the_model_prefix():
     ("strategy = snapshot\nsnapshot_cycles = 3\nsnapshot_last = -1\n",
      "snapshot_last"),
     ("synth_noise = -1\n", "synth_noise"),
+    ("synth_noise = inf\n", "synth_noise"),
+    ("synth_contrast = nan\n", "synth_contrast"),
+    ("synth_contrast = -inf\n", "synth_contrast"),
     ("beta2 = 1.5\n", "beta2"),
     ("beta1 = -0.5\n", "beta1"),
     ("beta1 = 1\n", "beta1"),
     ("adam_eps = 0\n", "eps"),
     ("weight_decay = -0.1\n", "weight_decay"),
+    ("weight_decay = inf\n", "weight_decay"),
+    ("adam_eps = inf\n", "eps"),
     ("learning_rate = nan\n", "learning rates"),
     ("strategy = fast\nlearning_rate = 1e-4\nfast_lr_low = 1e-3\n",
      "strategy fast"),
@@ -189,8 +194,9 @@ def test_model_config_is_the_model_prefix():
         "byte-dim", "channels", "num-bands", "num-classes", "batch-size",
         "train-steps", "synth-train", "synth-test", "ensemble-size",
         "fast-cycles", "pretrain-steps", "mc-delta", "snapshot-last",
-        "synth-noise", "beta2", "beta1-negative", "beta1-one", "adam-eps",
-        "weight-decay", "nan-lr", "fast-lr-low",
+        "synth-noise", "synth-noise-inf", "synth-contrast-nan", "synth-contrast-inf",
+        "beta2", "beta1-negative", "beta1-one", "adam-eps", "weight-decay",
+        "weight-decay-inf", "adam-eps-inf", "nan-lr", "fast-lr-low",
         *[f"negative-lr-{strategy}" for strategy in STRATEGIES],
         "max-frequency-nan", "max-frequency-negative", "max-frequency-inf",
         "synth-not-square", "synth-too-small", "cifar10-shape", "cifar100-classes",
@@ -269,9 +275,7 @@ def test_checkpoint_version_check(tmp_path):
 def _one_tensor_checkpoint(path, echo="x = 1\n"):
     """A checkpoint holding one 1 x 1 tensor; returns its header length
     (everything before the name's extents)."""
-    store = ua.ParamStore()
-    store.add("w", ua.Tensor(np.ones((1, 1))))
-    ua.save_checkpoint(path, store, echo)
+    ua.save_checkpoint(path, ua.ParamStore({"w": (1, 1)}, [1.0]), echo)
     return 4 + 4 + 8 + len(echo) + 4 + 4 + len("w") + 4
 
 
@@ -310,6 +314,63 @@ def test_checkpoint_more_axes_than_numpy_supports(tmp_path):
                      + struct.pack("<65Q", *[0] * 65) + struct.pack("<Q", 0))
     with pytest.raises(FormatError, match="bad shape"):
         ua.load_checkpoint(path)
+
+
+def manifest_offsets(raw):
+    """{name: position of its payload offset field} of a checkpoint."""
+    import struct
+
+    (echo_len,) = struct.unpack_from("<Q", raw, 8)
+    pos = 16 + echo_len
+    (count,) = struct.unpack_from("<I", raw, pos)
+    pos += 4
+    found = {}
+    for _ in range(count):
+        (name_len,) = struct.unpack_from("<I", raw, pos)
+        name = raw[pos + 4:pos + 4 + name_len].decode()
+        (ndim,) = struct.unpack_from("<I", raw, pos + 4 + name_len)
+        pos += 4 + name_len + 4 + 8 * ndim
+        found[name] = pos
+        pos += 8
+    return found
+
+
+def swap_offsets(path, first, second):
+    raw = bytearray(path.read_bytes())
+    a, b = (manifest_offsets(raw)[name] for name in (first, second))
+    raw[a:a + 8], raw[b:b + 8] = raw[b:b + 8], raw[a:a + 8]
+    path.write_bytes(bytes(raw))
+
+
+def test_checkpoint_offsets_must_be_back_to_back(tmp_path):
+    path = tmp_path / "model.ckpt"
+    ua.save_checkpoint(path, ua.ParamStore({"a": (2,), "b": (1,)}, [1.0, 2.0, 3.0]),
+                       "x = 1\n")
+    swap_offsets(path, "a", "b")
+    with pytest.raises(FormatError, match="'a' has payload offset 16, expected 0"):
+        ua.load_checkpoint(path)
+
+
+def test_checkpoint_repeated_name_is_format_error(tmp_path):
+    path = tmp_path / "model.ckpt"
+    ua.save_checkpoint(path, ua.ParamStore({"a": (1,), "b": (1,)}, [1.0, 2.0]),
+                       "x = 1\n")
+    raw = bytearray(path.read_bytes())
+    raw[manifest_offsets(raw)["b"] - 8 - 4 - 1] = ord("a")  # the name "b"
+    path.write_bytes(bytes(raw))
+    with pytest.raises(FormatError, match="'a' appears twice"):
+        ua.load_checkpoint(path)
+
+
+def test_cli_evaluate_swapped_offsets_exits_2(tmp_path, capsys):
+    ua.run_train(tiny_run_config(tmp_path))
+    member = tmp_path / "member_000.ckpt"
+    store, _ = ua.load_checkpoint(member)
+    swap_offsets(member, *store.names()[:2])
+    assert main(["evaluate", "--run-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("format error:") and "payload offset" in err
+    assert err.count("\n") == 1
 
 
 @pytest.fixture(scope="module")
@@ -718,6 +779,10 @@ def test_cli_train_rejects_config_before_creating_out_dir(tmp_path, capsys):
         b"dataset = cifar10\n",
         b"dataset = cifar100\nheight = 32\nwidth = 32\nnum_classes = 10\n",
         b"seed = 1\xff\xfe\n",
+        b"weight_decay = inf\n",
+        b"adam_eps = inf\n",
+        b"synth_noise = inf\n",
+        b"synth_contrast = nan\n",
     ]):
         cfg = tmp_path / f"run{i}.cfg"
         cfg.write_bytes(TINY.encode() + extra)
@@ -769,9 +834,8 @@ def resave_member(run_dir, edit):
     path = run_dir / "member_000.ckpt"
     store, echo = ua.load_checkpoint(path)
     arrays = edit({name: t.data for name, t in store.items()})
-    edited = ua.ParamStore()
-    for name, data in arrays.items():
-        edited.add(name, ua.Tensor(data))
+    edited = ua.ParamStore({name: data.shape for name, data in arrays.items()},
+                           np.concatenate([data.ravel() for data in arrays.values()]))
     ua.save_checkpoint(path, edited, echo)
 
 
@@ -780,7 +844,8 @@ def resave_member(run_dir, edit):
      r"'head.w' has shape \(4, 1\), expected \(4, 3\)"),
     (lambda a: {k: v for k, v in a.items() if k != "head.b"}, "'head.b' is missing"),
     (lambda a: {**a, "head.scale": np.ones(3)}, "'head.scale' is not expected"),
-], ids=["reshaped", "missing", "extra"])
+    (lambda a: {"head.b": a["head.b"], **a}, "'head.b' is out of order"),
+], ids=["reshaped", "missing", "extra", "reordered"])
 def test_load_predictor_checks_member_tensors(tmp_path, edit, match):
     ua.run_train(tiny_run_config(tmp_path))
     resave_member(tmp_path, edit)
