@@ -320,8 +320,10 @@ def load_checkpoint(path) -> tuple[ParamStore, str]:
     payload = view[pos:]
     if size > len(payload):
         raise FormatError(f"{path}: truncated payload, {len(payload)} of {size} bytes")
+    if size < len(payload):
+        raise FormatError(f"{path}: {len(payload) - size} trailing bytes")
     try:
-        store = ParamStore(shapes, np.frombuffer(payload, dtype="<f8", count=size // 8))
+        store = ParamStore(shapes, np.frombuffer(payload, dtype="<f8"))
     except ValueError as exc:  # e.g. more axes than numpy supports
         raise FormatError(f"{path}: bad shape: {exc}") from None
     return store, echo

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 import numpy as np
 
@@ -26,10 +26,12 @@ from .rng import generator
 
 LN_EPS = 1e-5
 
-# images per graph: forward_logits runs one forward per chunk, and a
+# images per graph: forward_logits runs one forward per chunk, a
 # training step one forward + backward per chunk of its batch
-# (strategies.chunk_gradients). Larger chunks raise peak memory, and a
-# training graph of more images runs slower once it outgrows the cache.
+# (strategies.chunk_gradients), and MC dropout one latent side per chunk
+# of samples (strategies.mc_predict). Larger chunks raise peak memory,
+# and a training graph of more images runs slower once it outgrows the
+# cache.
 FORWARD_CHUNK = 8
 
 # std of a unit normal truncated at +/-2; draws are rescaled by this so
@@ -284,16 +286,14 @@ def cross_attention(latent, bytes_mat, params: ParamStore, config: PerceiverConf
     """Latents query the byte array: Q from latents, K/V from bytes.
 
     Pre-norm; residual back onto the latents. The score matrix has
-    heads * N * M entries. ``kv_cache`` holds each group's byte-side K/V
-    for one forward over one byte array, so a group shared across
-    repeats computes them once.
+    heads * N * M entries. ``kv_cache`` maps a group to its byte-side
+    (K, V) (``byte_kv``); a group missing from it is computed from
+    ``bytes_mat`` and stored, so a group shared across repeats computes
+    them once.
     """
     kv_cache = {} if kv_cache is None else kv_cache
     if group not in kv_cache:
-        kv_in = T.layer_norm(bytes_mat, params[f"{group}.ln_kv.gamma"],
-                             params[f"{group}.ln_kv.beta"], LN_EPS)
-        kv_cache[group] = (_linear(kv_in, params, f"{group}.k"),
-                           _linear(kv_in, params, f"{group}.v"))
+        kv_cache[group] = _key_value(bytes_mat, params, group)
     k, v = kv_cache[group]
     q_in = T.layer_norm(
         latent, params[f"{group}.ln_q.gamma"], params[f"{group}.ln_q.beta"], LN_EPS
@@ -301,6 +301,14 @@ def cross_attention(latent, bytes_mat, params: ParamStore, config: PerceiverConf
     q = _linear(q_in, params, f"{group}.q")
     attended = _multihead_attention(q, k, v, config.heads, "cross")
     return T.add(latent, _linear(attended, params, f"{group}.out"))
+
+
+def _key_value(bytes_mat, params: ParamStore, group: str):
+    """A cross group's K and V over a byte array: pre-norm, then the two
+    projections."""
+    kv_in = T.layer_norm(bytes_mat, params[f"{group}.ln_kv.gamma"],
+                         params[f"{group}.ln_kv.beta"], LN_EPS)
+    return _linear(kv_in, params, f"{group}.k"), _linear(kv_in, params, f"{group}.v")
 
 
 def latent_block(latent, params: ParamStore, config: PerceiverConfig, group: str,
@@ -323,30 +331,55 @@ def latent_block(latent, params: ParamStore, config: PerceiverConfig, group: str
     return T.add(latent, _linear(hidden, params, f"{p}.mlp.fc2"))
 
 
+def _matching_store(forward):
+    """Report a parameter the store lacks as a ConfigError."""
+
+    @wraps(forward)
+    def checked(config: PerceiverConfig, params: ParamStore, *args):
+        try:
+            return forward(config, params, *args)
+        except KeyError as exc:
+            raise ConfigError(f"parameter store does not match config: missing {exc}")
+
+    return checked
+
+
+@_matching_store
+def byte_kv(config: PerceiverConfig, params: ParamStore, images) -> dict:
+    """The byte side of a forward: each cross group's (K, V), both
+    B x M x D, for a B x H x W x C stack of images.
+
+    Every step (byte features, projection, ln_kv, K, V) works pixel row
+    by pixel row, so a row of K or V depends only on its own pixel."""
+    bytes_mat = build_byte_array(images, config, params)
+    groups = dict.fromkeys(_cross_group(config, r) for r in range(config.depth_repeats))
+    return {g: _key_value(bytes_mat, params, g) for g in groups}
+
+
+@_matching_store
+def latent_logits(config: PerceiverConfig, params: ParamStore, kv: dict):
+    """The latent side of a forward: B x K logits from each cross group's
+    B x M x D K and V (``byte_kv``)."""
+    latent = params["latent.init"]
+    for r in range(config.depth_repeats):
+        latent = cross_attention(latent, None, params, config, _cross_group(config, r), kv)
+        tg = _tower_group(config, r)
+        for l in range(config.tower_layers):
+            latent = latent_block(latent, params, config, tg, l)
+    # B x 1 x D: each image's head product is a 1-row product of its
+    # own, so a logit row does not depend on the rest of the batch
+    pooled = T.mean_rows(latent)
+    logits = _linear(pooled, params, "head")
+    return T.reshape(logits, (-1, config.num_classes))
+
+
 def perceiver_forward(config: PerceiverConfig, params: ParamStore, images):
     """B x H x W x C images, or one H x W x C image -> B x K logits (a
     tensor participating in the graph)."""
     images = np.asarray(images, dtype=np.float64)
     if images.ndim == 3:
         images = images[None]
-    try:
-        bytes_mat = build_byte_array(images, config, params)
-        latent = params["latent.init"]
-        kv_cache: dict = {}
-        for r in range(config.depth_repeats):
-            latent = cross_attention(
-                latent, bytes_mat, params, config, _cross_group(config, r), kv_cache
-            )
-            tg = _tower_group(config, r)
-            for l in range(config.tower_layers):
-                latent = latent_block(latent, params, config, tg, l)
-        # B x 1 x D: each image's head product is a 1-row product of its
-        # own, so a logit row does not depend on the rest of the batch
-        pooled = T.mean_rows(latent)
-        logits = _linear(pooled, params, "head")
-        return T.reshape(logits, (-1, config.num_classes))
-    except KeyError as exc:
-        raise ConfigError(f"parameter store does not match config: missing {exc}")
+    return latent_logits(config, params, byte_kv(config, params, images))
 
 
 def forward_logits(config: PerceiverConfig, params: ParamStore, images) -> np.ndarray:

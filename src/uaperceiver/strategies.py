@@ -25,15 +25,16 @@ from itertools import chain
 import numpy as np
 
 from .data import Dataset, make_batches, split_calibration
-from .errors import NumericError, RangeError, UsageError
+from .errors import DimensionError, NumericError, RangeError, UsageError
 from .metrics import softmax_rows, temperature_scale
-from .model import (FORWARD_CHUNK, PerceiverConfig, batch_loss, forward_logits,
-                    init_params)
+from .model import (FORWARD_CHUNK, PerceiverConfig, batch_loss, byte_kv,
+                    forward_logits, init_params, latent_logits)
 from .optim import AdamWSettings, AdamWState, adamw_step
 from .parallel import Workers, parallel_map
 from .params import ParamStore, swa_update
 from .rng import derive_seed, generator
 from .schedules import LRSchedule, capture_steps, lr_at
+from .tensor import view_leaf
 
 
 @dataclass
@@ -80,7 +81,10 @@ class Predictor:
         (``parallel_map``), each run through every member. A row does not
         depend on the slice it is in: forwards are batch-invariant and MC
         image i draws its masks from ``derive_seed(mc_seed, i)`` by its
-        index in ``images``."""
+        index in ``images``. An MC member runs the byte side once per
+        image and the latent side once per FORWARD_CHUNK of its
+        ``mc_samples`` samples (``mc_predict``), bit-equal to forwarding
+        every masked copy."""
         images = np.asarray(images, dtype=np.float64)
         if images.ndim == 3:
             images = images[None]
@@ -375,16 +379,41 @@ def mc_dropout_mask(image: np.ndarray, delta: float,
 
 def mc_predict(config: PerceiverConfig, params: ParamStore, image,
                delta: float, num_samples: int, seed: int) -> np.ndarray:
-    """Mean softmax over ``num_samples`` freshly masked forwards."""
+    """Mean softmax over ``num_samples`` freshly masked forwards, sample
+    i masked by ``mc_dropout_mask`` with ``generator(seed, i)``.
+
+    A dropped pixel is a zero pixel, and the byte side works pixel row
+    by pixel row (``byte_kv``), so each sample's K/V row at a pixel is
+    either the image's row or the all-zero image's row. The byte side
+    therefore runs once, on ``[image, zeros]``; each chunk of
+    FORWARD_CHUNK samples gathers its K/V rows from those two and runs
+    only the latent side. The rows, and so the logits, bit-equal those
+    of forwards of the masked images."""
     if num_samples < 1:
         raise UsageError(f"num_samples must be >= 1, got {num_samples}")
+    image = np.asarray(image, dtype=np.float64)
+    if image.ndim != 3:
+        raise DimensionError(f"mc_predict takes one H x W x C image, got {image.shape}")
     if delta == 0.0:
         # every sample is the unmasked forward; return it bit-exactly
         # rather than averaging identical values
         return softmax_rows(forward_logits(config, params, image))[0]
-    masked = np.stack([mc_dropout_mask(image, delta, generator(seed, i))
-                       for i in range(num_samples)])
-    probs = softmax_rows(forward_logits(config, params, masked))
+    kv = byte_kv(config, params, np.stack([image, np.zeros_like(image)]))
+    ones = np.ones((*image.shape[:-1], 1))
+    dropped = np.stack([mc_dropout_mask(ones, delta, generator(seed, i)) == 0.0
+                        for i in range(num_samples)]).reshape(num_samples, -1)
+    # with K and V seen as 2M rows (image, then zeros), each sample's row
+    # at pixel p is row p where the pixel is kept and M + p where dropped
+    m = dropped.shape[1]
+    rows = np.where(dropped, m, 0) + np.arange(m)
+    flat = {group: [t.data.reshape(2 * m, -1) for t in pair] for group, pair in kv.items()}
+    logits = np.empty((num_samples, config.num_classes))
+    for i in range(0, num_samples, FORWARD_CHUNK):
+        picked = rows[i : i + FORWARD_CHUNK]
+        # gathered inline, so one chunk's K/V is freed before the next
+        logits[i : i + FORWARD_CHUNK] = latent_logits(config, params, {
+            group: [view_leaf(a.take(picked, axis=0), False) for a in pair]
+            for group, pair in flat.items()}).data
+    probs = softmax_rows(logits)
     # axis-0 sums add the rows in sample order
     return probs.sum(axis=0) / num_samples
-

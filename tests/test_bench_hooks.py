@@ -40,7 +40,8 @@ def load_module(name, path):
 
 TRACER = load_module("perfbench_tracer", PERFBENCH / "tracer.py")
 PACKAGE, SPANS = TRACER.PACKAGE, TRACER.SPANS
-WORKLOADS = load_module("perfbench_run", PERFBENCH / "run.py").WORKLOADS
+RUN = load_module("perfbench_run", PERFBENCH / "run.py")
+WORKLOADS = RUN.WORKLOADS
 
 
 @pytest.mark.parametrize("module_name,attr,span", SPANS,
@@ -70,3 +71,18 @@ def test_counted_names_resolve():
     assert list(inspect.signature(predictor.probabilities).parameters) == [
         "self", "images"]
     assert inspect.isfunction(uaperceiver.metrics.nll_from_logits)
+
+
+def test_mc_evaluation_does_the_counted_attention_work(tmp_path):
+    """The benchmark marks an operation incorrect unless its score-counter
+    delta equals ``expected_scores``; a small mc-eval run checks that
+    here, worker shares included."""
+    cfg = uaperceiver.RunConfig(**{
+        **WORKLOADS["mc-eval"], "train_steps": 2, "synth_train": 8,
+        "synth_test": 5, "mc_samples": 13, "out_dir": str(tmp_path)})
+    uaperceiver.run_train(cfg)
+    counter = uaperceiver.model.score_counter
+    before = (counter.cross, counter.latent)
+    uaperceiver.run_evaluate(tmp_path)
+    delta = (counter.cross - before[0], counter.latent - before[1])
+    assert delta == RUN.expected_scores(cfg, RUN.op_work(cfg)[1])

@@ -263,6 +263,16 @@ def test_checkpoint_truncated_payload(tmp_path, tiny_config):
         ua.load_checkpoint(path)
 
 
+def test_checkpoint_trailing_bytes(tmp_path, tiny_config):
+    """Bytes after the last payload (data appended, or two files
+    concatenated) are a FormatError, not silently ignored."""
+    path = tmp_path / "model.ckpt"
+    ua.save_checkpoint(path, init_params(tiny_config, 0), "x = 1\n")
+    path.write_bytes(path.read_bytes() + bytes(range(24)))
+    with pytest.raises(FormatError, match="24 trailing bytes"):
+        ua.load_checkpoint(path)
+
+
 def test_checkpoint_version_check(tmp_path):
     import struct
 

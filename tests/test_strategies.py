@@ -5,8 +5,11 @@ import numpy as np
 import pytest
 
 import uaperceiver as ua
-from uaperceiver.errors import RangeError, UsageError
-from uaperceiver.model import FORWARD_CHUNK, batch_loss, forward_logits, init_params
+from uaperceiver import model
+from uaperceiver.data import channel_stats, standardize
+from uaperceiver.errors import DimensionError, RangeError, UsageError
+from uaperceiver.model import (FORWARD_CHUNK, batch_loss, forward_logits, init_params,
+                               score_counter)
 from uaperceiver.metrics import softmax_rows
 from uaperceiver.rng import derive_seed, generator
 from uaperceiver.strategies import chunk_gradients, train_model
@@ -289,6 +292,62 @@ def test_mc_predict_replay_oracle(tiny_config):
         masked = ua.mc_dropout_mask(image, delta, generator(seed, i))
         acc += softmax_rows(forward_logits(tiny_config, params, masked))[0]
     np.testing.assert_array_equal(probs, acc / n)
+
+
+@pytest.mark.parametrize("delta", [0.25, 1.0])
+@pytest.mark.parametrize("n", [1, 8, 13])
+@pytest.mark.parametrize("config", [CRITERION7, LEARNABLE_UNSHARED_R3],
+                         ids=["criterion7", "learnable-unshared-r3"])
+def test_mc_predict_replay_oracle_standardized(config, n, delta):
+    """Bit-equal to the explicitly masked forwards for both position
+    encodings, unshared cross weights, one chunk, a full chunk and a
+    short last chunk, on standardized images: a dropped negative pixel
+    is -0.0 in the masked image. Cross score entries count every
+    sample's forward."""
+    ds = ua.synth_dataset(3, 4, resolution=config.height, num_classes=3,
+                          channels=config.channels)
+    image = standardize(ds, channel_stats(ds)).images[0]
+    assert (image < 0).any()
+    params = init_params(config, 10).detached()
+    seed = 55
+    before = score_counter.cross
+    probs = ua.mc_predict(config, params, image, delta, n, seed)
+    assert score_counter.cross - before == (
+        n * config.depth_repeats * config.heads * config.latent_count
+        * config.num_bytes)
+    acc = np.zeros(3)
+    signed_zero = False
+    for i in range(n):
+        masked = ua.mc_dropout_mask(image, delta, generator(seed, i))
+        signed_zero |= bool(np.any((masked == 0) & np.signbit(masked)))
+        acc += softmax_rows(forward_logits(config, params, masked))[0]
+    assert signed_zero
+    np.testing.assert_array_equal(probs, acc / n)
+
+
+@pytest.mark.parametrize("n", [1, 13, 30])
+def test_mc_predict_runs_the_byte_side_on_two_images(monkeypatch, n):
+    """The byte side runs once per test image, on the image and the zero
+    image, whatever the sample count."""
+    received = []
+    original = model.build_byte_array
+
+    def counting(images, *args):
+        received.append(np.asarray(images).shape[:-3])
+        return original(images, *args)
+
+    monkeypatch.setattr(model, "build_byte_array", counting)
+    image = np.random.default_rng(4).random((16, 16, 3))
+    ua.mc_predict(CRITERION7, init_params(CRITERION7, 2).detached(), image, 0.2,
+                  n, 9)
+    assert received == [(2,)]
+
+
+@pytest.mark.parametrize("delta", [0.0, 0.2])
+def test_mc_predict_takes_one_image(tiny_config, delta):
+    params = init_params(tiny_config, 3).detached()
+    with pytest.raises(DimensionError, match="one H x W x C image"):
+        ua.mc_predict(tiny_config, params, np.zeros((2, 4, 4, 1)), delta, 3, 0)
 
 
 def test_mc_predictor_probabilities(tiny_config, tiny_dataset):
