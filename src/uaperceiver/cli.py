@@ -117,6 +117,9 @@ def main(argv=None) -> int:
     except UAPError as exc:
         print(f"{exc.category} error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:  # e.g. a config whose arrays cannot be allocated
+        print(f"resource error: {exc}", file=sys.stderr)
+        return 2
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 3

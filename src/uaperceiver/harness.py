@@ -9,7 +9,9 @@ of (config, seeds) is bit-reproducible.
 
 from __future__ import annotations
 
+import csv
 import dataclasses
+import io
 import json
 import math
 import os
@@ -60,9 +62,12 @@ STRATEGY_COUNTS = {
     "mc": ("mc_samples",),
 }
 
-# predictor.json holds these Predictor fields by name, next to the
-# "members" checkpoint files and the "stats_mean"/"stats_std" lists
-MANIFEST_KEYS = ("kind", "temperatures", "mc_delta", "mc_samples", "mc_seed")
+# predictor.json holds every Predictor field but config and members by
+# name, next to the "members" checkpoint files and the
+# "stats_mean"/"stats_std" lists
+_MANIFEST_HINTS = {key: hint for key, hint in typing.get_type_hints(Predictor).items()
+                   if key not in ("config", "members")}
+MANIFEST_KEYS = tuple(_MANIFEST_HINTS)
 
 CHECKPOINT_MAGIC = b"UAPC"
 CHECKPOINT_VERSION = 1
@@ -416,9 +421,9 @@ def _train_predictor(config: RunConfig, train: Dataset
 
 
 def run_train(config: RunConfig) -> RunResult:
-    """Train the configured strategy and persist checkpoints + run log."""
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    """Train the configured strategy and persist checkpoints + run log.
+    ``out_dir`` is created once training has finished, so a run that
+    fails before then leaves nothing behind."""
     train = build_dataset(config, "train")
     stats = None
     if config.normalize:
@@ -426,6 +431,8 @@ def run_train(config: RunConfig) -> RunResult:
         train = standardize(train, stats)
     predictor, logs = _train_predictor(config, train)
 
+    out_dir = Path(config.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     echo = config_echo(config)
     # predictor.json, written last, marks a finished run: remove any earlier
     # run's before its checkpoints can be overwritten
@@ -486,28 +493,26 @@ def _numbers(value, count: int | None = None) -> bool:
         type(v) in (int, float) and abs(v) <= np.finfo(float).max for v in value)
 
 
-def _check_values(where, values: dict, types: dict) -> None:
-    """FormatError naming the first key whose value fails its type test."""
-    for key, (kind, valid) in types.items():
-        if key in values and not valid(values[key]):
-            raise FormatError(f"{where}: {key} must be {kind}")
-
-
-_FINITE = ("a finite number", lambda v: _numbers([v]))
-_INTEGER = ("an integer", lambda v: type(v) is int)
-_STRING = ("a string", lambda v: type(v) is str)
-_TEMPERATURES = ("null or a list of numbers", lambda v: v is None or _numbers(v))
-# what each predictor.json value must be: key -> (description, test)
-_MANIFEST_TYPES = {
-    "members": ("a non-empty list of file names", lambda v: type(v) is list
-                and v != [] and all(type(f) is str for f in v)),
-    "kind": _STRING,
-    "temperatures": _TEMPERATURES,
-    "mc_delta": _FINITE,
-    "mc_samples": _INTEGER,
-    "mc_seed": _INTEGER,
-    "snapshot_last": ("an integer >= 0", lambda v: type(v) is int and v >= 0),
+# what a JSON value must be to fill a field of each annotated type:
+# type -> (description, test)
+_JSON_TYPES = {
+    str: ("a string", lambda v: type(v) is str),
+    int: ("an integer", lambda v: type(v) is int),
+    float: ("a finite number", lambda v: _numbers([v])),
+    list[float] | None: ("null or a list of numbers",
+                         lambda v: v is None or _numbers(v)),
+    dict: ("a JSON object", lambda v: type(v) is dict),
 }
+
+
+def _check_types(where, values: dict, hints: dict) -> None:
+    """FormatError naming the first key of ``hints`` (field name -> type)
+    whose value in ``values``, which holds every such key, does not fit
+    its type."""
+    for key, hint in hints.items():
+        kind, valid = _JSON_TYPES[hint]
+        if not valid(values[key]):
+            raise FormatError(f"{where}: {key} must be {kind}")
 
 
 def load_predictor(run_dir) -> tuple[Predictor, RunConfig, ChannelStats | None]:
@@ -522,11 +527,15 @@ def load_predictor(run_dir) -> tuple[Predictor, RunConfig, ChannelStats | None]:
                if key not in manifest]
     if missing:
         raise FormatError(f"{path}: missing keys {missing}")
-    _check_values(path, manifest, _MANIFEST_TYPES)
     files = manifest["members"]
+    if type(files) is not list or not files or any(type(f) is not str for f in files):
+        raise FormatError(f"{path}: members must be a non-empty list of file names")
+    _check_types(path, manifest, _MANIFEST_HINTS)
     fields = {key: manifest[key] for key in MANIFEST_KEYS}
     # older manifests list every snapshot and name how many to average
-    keep = manifest.get("snapshot_last")
+    keep = manifest.get("snapshot_last", 0)
+    if type(keep) is not int or keep < 0:
+        raise FormatError(f"{path}: snapshot_last must be an integer >= 0")
     if keep:
         files = files[-keep:]
         if fields["temperatures"]:
@@ -625,39 +634,28 @@ def sweep_ensemble(config: RunConfig, max_size: int | None = None
 # ---- report emission -------------------------------------------------
 
 
-# what each report row value must be: key -> (description, test)
-_REPORT_TYPES = {
-    "variant": _STRING,
-    "ensemble_size": _INTEGER,
-    "seed": _INTEGER,
-    "accuracy": _FINITE,
-    "nll": _FINITE,
-    "ece": _FINITE,
-    "brier": _FINITE,
-    "temperatures": _TEMPERATURES,
-    "wall_clock_seconds": _FINITE,
-    "config": ("a JSON object", lambda v: type(v) is dict),
-}
-
-
 def load_reports(path) -> list[MetricsReport]:
-    """Reports from a JSON list written by ``emit_report``."""
+    """Reports from a JSON list written by ``emit_report``; each row has
+    exactly the ``MetricsReport`` fields, each value fits its field's type."""
     rows = read_json(path)
     if not isinstance(rows, list):
         raise FormatError(f"{path}: expected a JSON list of reports")
+    hints = typing.get_type_hints(MetricsReport)
     for i, row in enumerate(rows):
-        if not isinstance(row, dict) or set(row) != set(_REPORT_TYPES):
+        if not isinstance(row, dict) or set(row) != set(hints):
             raise FormatError(f"{path}: row {i} is not a metrics report "
-                              f"(expected keys {list(_REPORT_TYPES)})")
-        _check_values(f"{path}: row {i}", row, _REPORT_TYPES)
+                              f"(expected keys {list(hints)})")
+        _check_types(f"{path}: row {i}", row, hints)
     return [MetricsReport(**row) for row in rows]
 
 
-_CSV_COLUMNS = ("variant", "ensemble_size", "seed", "accuracy", "nll", "ece",
-                "brier", "temperatures", "wall_clock_seconds")
-
-
 def _fmt(value) -> str:
+    """A CSV cell: 17 significant digits per float, "" for None, and the
+    entries of a list joined by ";"."""
+    if value is None:
+        return ""
+    if isinstance(value, list):
+        return ";".join(_fmt(v) for v in value)
     if isinstance(value, float):
         return f"{value:.17g}"
     return str(value)
@@ -675,14 +673,10 @@ def emit_report(reports: list[MetricsReport], fmt: str, path) -> None:
         return
     if fmt != "csv":
         raise ConfigError(f"unknown report format {fmt!r}")
-    lines = [",".join(_CSV_COLUMNS)]
-    for r in reports:
-        row = []
-        for col in _CSV_COLUMNS:
-            value = getattr(r, col)
-            if col == "temperatures":
-                row.append("" if value is None else ";".join(_fmt(t) for t in value))
-            else:
-                row.append(_fmt(value))
-        lines.append(",".join(row))
-    _replace_file(path, ("\n".join(lines) + "\n").encode("utf-8"))
+    # one column per MetricsReport field but the config
+    columns = [f.name for f in dataclasses.fields(MetricsReport) if f.name != "config"]
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows([_fmt(getattr(r, col)) for col in columns] for r in reports)
+    _replace_file(path, text.getvalue().encode("utf-8"))

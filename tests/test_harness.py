@@ -1,6 +1,7 @@
 """Run harness: config parsing, checkpoint format, end-to-end training,
 evaluation, reports, and the command-line front end."""
 
+import csv
 import dataclasses
 import json
 import shutil
@@ -717,6 +718,60 @@ def test_emit_report_rejects_empty_and_unknown(tmp_path):
         ua.emit_report([sample_report()], "yaml", tmp_path / "x.yaml")
 
 
+def test_csv_report_bytes_of_ordinary_rows(tmp_path):
+    path = tmp_path / "out.csv"
+    ua.emit_report([sample_report(), sample_report(seed=3, temperatures=[1.25, 2.5])],
+                   "csv", path)
+    assert path.read_bytes() == (
+        b"variant,ensemble_size,seed,accuracy,nll,ece,brier,temperatures,"
+        b"wall_clock_seconds\n"
+        b"single,1,0,0.75,0.61234567890123459,0.050000000000000003,0.125,,1.5\n"
+        b"single,1,3,0.75,0.61234567890123459,0.050000000000000003,0.125,"
+        b"1.25;2.5,1.5\n")
+
+
+def read_csv(path) -> list[list[str]]:
+    with open(path, newline="", encoding="utf-8") as f:
+        return list(csv.reader(f))
+
+
+def test_csv_report_quotes_a_variant_with_comma_and_newline(tmp_path):
+    """A variant comes from the manifest's free-form "kind": a comma or a
+    newline in it stays inside its one cell."""
+    path = tmp_path / "out.csv"
+    ua.emit_report([sample_report(variant="deep,ensemble"),
+                    sample_report(variant="a\nb", temperatures=[1.25, 2.5])],
+                   "csv", path)
+    header, *rows = read_csv(path)
+    assert len(header) == 9 and [len(row) for row in rows] == [9, 9]
+    assert [row[0] for row in rows] == ["deep,ensemble", "a\nb"]
+    assert rows[1][header.index("temperatures")] == "1.25;2.5"
+
+
+def test_report_schema_follows_metrics_report_fields(tmp_path, monkeypatch):
+    """A field added to MetricsReport is written to JSON and CSV, read
+    back by load_reports, and type-checked, with no other edit."""
+    from uaperceiver import harness
+
+    extended = dataclasses.make_dataclass(
+        "MetricsReport", [("train_seconds", float)], bases=(harness.MetricsReport,))
+    monkeypatch.setattr(harness, "MetricsReport", extended)
+    report = extended(**sample_report().to_dict(), train_seconds=2.25)
+    path = tmp_path / "out.json"
+    ua.emit_report([report], "json", path)
+    assert json.loads(path.read_text())[0]["train_seconds"] == 2.25
+    assert load_reports(path) == [report]
+
+    ua.emit_report([report], "csv", tmp_path / "out.csv")
+    header, row = read_csv(tmp_path / "out.csv")
+    assert header[-1] == "train_seconds" and row[-1] == "2.25"
+
+    path.write_text(json.dumps([{**report.to_dict(), "train_seconds": "abc"}]))
+    with pytest.raises(FormatError) as info:
+        load_reports(path)
+    assert str(info.value) == f"{path}: row 0: train_seconds must be a finite number"
+
+
 # ---- CLI -------------------------------------------------------------
 
 
@@ -801,6 +856,25 @@ def test_cli_train_rejects_config_before_creating_out_dir(tmp_path, capsys):
         err = capsys.readouterr().err
         assert "config error" in err and err.count("\n") == 1, extra
         assert not out.exists()
+
+
+@pytest.mark.parametrize("setting", [
+    "synth_train=100000000000000",
+    "latent_count=10000000000000",
+    "num_bands=10000000000000",
+    "latent_count=10000000000000 strategy=deep",
+])
+def test_cli_train_that_cannot_allocate_is_one_line(tmp_path, capsys, setting):
+    """A config whose first large array exceeds the 47-bit address space
+    (hundreds of TiB), so numpy refuses it at once and allocates nothing,
+    exits 2 with one ``resource error`` line and creates no out_dir."""
+    cfg = write_tiny_config(tmp_path)
+    out = tmp_path / "run"
+    sets = [arg for item in setting.split() for arg in ("--set", item)]
+    assert main(["train", "--config", str(cfg), "--out-dir", str(out), *sets]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("resource error: ") and err.count("\n") == 1, err
+    assert not out.exists()
 
 
 @pytest.fixture(scope="module")
