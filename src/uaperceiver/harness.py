@@ -9,9 +9,7 @@ of (config, seeds) is bit-reproducible.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
-import io
 import json
 import math
 import os
@@ -650,15 +648,19 @@ def load_reports(path) -> list[MetricsReport]:
 
 
 def _fmt(value) -> str:
-    """A CSV cell: 17 significant digits per float, "" for None, and the
-    entries of a list joined by ";"."""
+    """A CSV cell: 17 significant digits per float, "" for None, the entries
+    of a list joined by ";", and quotes around text holding a comma, a quote,
+    CR or LF (Python 3.11's csv.writer leaves a lone CR bare under LF lines)."""
     if value is None:
         return ""
     if isinstance(value, list):
         return ";".join(_fmt(v) for v in value)
     if isinstance(value, float):
         return f"{value:.17g}"
-    return str(value)
+    text = str(value)
+    if any(c in text for c in ',"\r\n'):
+        text = '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def emit_report(reports: list[MetricsReport], fmt: str, path) -> None:
@@ -675,8 +677,5 @@ def emit_report(reports: list[MetricsReport], fmt: str, path) -> None:
         raise ConfigError(f"unknown report format {fmt!r}")
     # one column per MetricsReport field but the config
     columns = [f.name for f in dataclasses.fields(MetricsReport) if f.name != "config"]
-    text = io.StringIO()
-    writer = csv.writer(text, lineterminator="\n")
-    writer.writerow(columns)
-    writer.writerows([_fmt(getattr(r, col)) for col in columns] for r in reports)
-    _replace_file(path, text.getvalue().encode("utf-8"))
+    rows = [columns] + [[_fmt(getattr(r, col)) for col in columns] for r in reports]
+    _replace_file(path, "".join(",".join(row) + "\n" for row in rows).encode("utf-8"))

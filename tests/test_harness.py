@@ -736,15 +736,16 @@ def read_csv(path) -> list[list[str]]:
 
 
 def test_csv_report_quotes_a_variant_with_comma_and_newline(tmp_path):
-    """A variant comes from the manifest's free-form "kind": a comma or a
-    newline in it stays inside its one cell."""
+    """A variant comes from the manifest's free-form "kind": a comma, a
+    newline or a carriage return in it stays inside its one cell."""
     path = tmp_path / "out.csv"
     ua.emit_report([sample_report(variant="deep,ensemble"),
-                    sample_report(variant="a\nb", temperatures=[1.25, 2.5])],
+                    sample_report(variant="a\nb", temperatures=[1.25, 2.5]),
+                    sample_report(variant="a\rb")],
                    "csv", path)
     header, *rows = read_csv(path)
-    assert len(header) == 9 and [len(row) for row in rows] == [9, 9]
-    assert [row[0] for row in rows] == ["deep,ensemble", "a\nb"]
+    assert len(header) == 9 and [len(row) for row in rows] == [9, 9, 9]
+    assert [row[0] for row in rows] == ["deep,ensemble", "a\nb", "a\rb"]
     assert rows[1][header.index("temperatures")] == "1.25;2.5"
 
 

@@ -294,8 +294,8 @@ def test_mc_predict_replay_oracle(tiny_config):
     np.testing.assert_array_equal(probs, acc / n)
 
 
-@pytest.mark.parametrize("delta", [0.25, 1.0])
-@pytest.mark.parametrize("n", [1, 8, 13])
+@pytest.mark.parametrize("n, delta", [(n, delta) for n in (1, 8, 13) for delta in (0.25, 1.0)]
+                         + [(30, 0.1)])
 @pytest.mark.parametrize("config", [CRITERION7, LEARNABLE_UNSHARED_R3],
                          ids=["criterion7", "learnable-unshared-r3"])
 def test_mc_predict_replay_oracle_standardized(config, n, delta):
@@ -303,7 +303,8 @@ def test_mc_predict_replay_oracle_standardized(config, n, delta):
     encodings, unshared cross weights, one chunk, a full chunk and a
     short last chunk, on standardized images: a dropped negative pixel
     is -0.0 in the masked image. Cross score entries count every
-    sample's forward."""
+    sample's forward. n = 30 at delta = 0.1 is the bench's mc-eval
+    setting: three full chunks and a short one."""
     ds = ua.synth_dataset(3, 4, resolution=config.height, num_classes=3,
                           channels=config.channels)
     image = standardize(ds, channel_stats(ds)).images[0]

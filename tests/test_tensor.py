@@ -512,8 +512,10 @@ def reference_layer_norm(x, g, gamma, beta, eps=1e-5):
 
 
 def test_kernels_bit_equal_to_reference_expressions():
+    """Row lengths 32 and 256 are the model's: numpy's pairwise summation
+    groups a reduction by its length."""
     rng = np.random.default_rng(23)
-    for shape in ((7,), (4, 9), (2, 3, 16)):
+    for shape in ((7,), (4, 9), (2, 3, 16), (4, 256, 32), (8, 2, 8, 256)):
         x = rng.normal(size=shape, scale=4.0)
         g = rng.normal(size=shape)
         xs = leaf(x)
@@ -532,6 +534,12 @@ def test_kernels_bit_equal_to_reference_expressions():
         np.testing.assert_array_equal(out.data, y)
         for (_, got), want in zip(out._backward(g), grads):
             np.testing.assert_array_equal(got, want)
+        if len(shape) > 1:
+            out = T.mean_rows(xs)
+            np.testing.assert_array_equal(out.data, x.mean(axis=-2, keepdims=True))
+            g_row = g.mean(axis=-2, keepdims=True)
+            np.testing.assert_array_equal(out._backward(g_row)[0][1],
+                                          np.broadcast_to(g_row / shape[-2], shape))
 
 
 def test_gelu_bit_equal_across_magnitudes():
