@@ -21,6 +21,10 @@ threads each on two cores run slower than one process alone. Groups do
 not nest: one opened inside a worker, or in the parent while its own
 group has children, runs in-process, so no more processes run than
 there are cores.
+
+Entering a group, in-process or not, first sets glibc's allocator policy
+(README, Workers): freed heap memory up to 64 MiB stays in the process.
+It changes no arithmetic and cannot be undone (glibc has no getter).
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import ctypes
+import functools
 import os
 import pickle
 import signal
@@ -48,6 +53,17 @@ def worker_count(items: int) -> int:
     return max(1, min(cores, items))
 
 
+@functools.cache
+def _keep_freed_memory() -> None:
+    """Set the allocator policy above, once per process, where libc has it."""
+    mallopt = getattr(ctypes.pythonapi, "mallopt", None)  # libc's, on POSIX
+    if mallopt is not None:
+        mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+        mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD: arrays up to 32 MiB from the heap
+        mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD: keep up to 64 MiB freed
+
+
+@functools.cache
 def _openblas_threads():
     """(get, set) thread-count functions of the OpenBLAS library loaded
     into this process, or None when there is none."""
@@ -118,6 +134,7 @@ class Workers:
         self._token = None
 
     def __enter__(self) -> "Workers":
+        _keep_freed_memory()
         workers = 1 if _in_group.get() else worker_count(self.n_items)
         if workers > 1 and hasattr(os, "fork"):
             self._blas = _openblas_threads()

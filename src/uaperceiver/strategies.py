@@ -368,13 +368,17 @@ def mc_dropout_mask(image: np.ndarray, delta: float,
     """Zero each pixel (all channels) independently with probability
     delta; survivors are not rescaled. Leading axes of ``image`` are
     batch axes: one (B, H, W) draw is B consecutive (H, W) draws."""
-    if not (0.0 <= delta <= 1.0):
-        raise RangeError(f"delta must lie in [0, 1], got {delta}")
     image = np.asarray(image, dtype=np.float64)
     if delta == 0.0:
         return image.copy()
-    keep = rng.random(size=image.shape[:-1]) >= delta
-    return image * keep[..., None]
+    return image * _kept_pixels(image.shape[:-1], delta, rng)[..., None]
+
+
+def _kept_pixels(shape, delta: float, rng: np.random.Generator) -> np.ndarray:
+    """Boolean mask of ``shape``: each pixel kept with probability 1 - delta."""
+    if not (0.0 <= delta <= 1.0):
+        raise RangeError(f"delta must lie in [0, 1], got {delta}")
+    return rng.random(size=shape) >= delta
 
 
 def mc_predict(config: PerceiverConfig, params: ParamStore, image,
@@ -398,10 +402,9 @@ def mc_predict(config: PerceiverConfig, params: ParamStore, image,
         # every sample is the unmasked forward; return it bit-exactly
         # rather than averaging identical values
         return softmax_rows(forward_logits(config, params, image))[0]
+    dropped = ~np.stack([_kept_pixels(image.shape[:-1], delta, generator(seed, i))
+                         for i in range(num_samples)]).reshape(num_samples, -1)
     kv = byte_kv(config, params, np.stack([image, np.zeros_like(image)]))
-    ones = np.ones((*image.shape[:-1], 1))
-    dropped = np.stack([mc_dropout_mask(ones, delta, generator(seed, i)) == 0.0
-                        for i in range(num_samples)]).reshape(num_samples, -1)
     # with K and V seen as 2M rows (image, then zeros), each sample's row
     # at pixel p is row p where the pixel is kept and M + p where dropped
     m = dropped.shape[1]

@@ -2,7 +2,9 @@
 process hygiene, worker groups held for a training run, and results that
 do not depend on the worker count."""
 
+import ctypes
 import os
+import resource
 import time
 from pathlib import Path
 
@@ -167,6 +169,23 @@ def test_a_group_runs_in_process_with_one_worker(monkeypatch):
     use_workers(monkeypatch, 1)
     with Workers(lambda args, share: (args, list(share), os.getpid()), 4) as w:
         assert w.map("a", range(4)) == [("a", [0, 1, 2, 3], os.getpid())]
+
+
+def test_training_chunks_stop_page_faulting():
+    """Inside a group, freed graph memory stays in the heap: a second
+    default-model chunk reuses the first one's pages."""
+    if not hasattr(ctypes.pythonapi, "mallopt"):
+        pytest.skip("libc has no mallopt")
+    config = ua.PerceiverConfig()
+    params = model.init_params(config, 0)
+    data = ua.synth_dataset(0, 8)
+    faults = []
+    with Workers(None, 1):
+        for _ in range(2):
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            strategies.chunk_gradients(config, params, data.images, data.labels, range(1))
+            faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    assert faults[1] < 256, faults
 
 
 def test_training_forks_once_per_run(tmp_path, monkeypatch):

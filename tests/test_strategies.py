@@ -274,6 +274,13 @@ def test_mask_rejects_bad_delta():
         ua.mc_dropout_mask(np.ones((2, 2, 1)), 1.5, generator(0, 0))
 
 
+@pytest.mark.parametrize("delta", [1.5, -0.1])
+def test_mc_predict_rejects_delta_outside_the_unit_interval(tiny_config, delta):
+    params = init_params(tiny_config, 8).detached()
+    with pytest.raises(RangeError, match="delta must lie in"):
+        ua.mc_predict(tiny_config, params, np.ones((4, 4, 1)), delta, 5, 77)
+
+
 def test_mc_predict_delta_zero_equals_forward(tiny_config):
     params = init_params(tiny_config, 8).detached()
     image = np.random.default_rng(9).random((4, 4, 1))
