@@ -1,26 +1,42 @@
 """Independent work on every usable core.
 
-``Workers`` is a scoped group of forked worker processes: entering it
-forks one child per extra core, each ``map`` splits its items into one
-contiguous share per process, the parent runs the first share itself
-and each child one further share, and the results come back in share
-order. Forking, not spawning, lets a child start from the parent's
-loaded modules, model and dataset without pickling them; only each
-call's arguments travel to a child and only its result travels back.
-A training run opens one group and maps every batch through it, so it
-pays for one fork, not one per step. ``parallel_map`` is a group of one
-call. The package starts no threads of its own; OpenBLAS stops its
-thread pool before a fork and starts it again on its next call.
+Worker processes are forked once per process: the first group that
+needs more than one process forks them, and every later group reuses
+them. So after the first group no training run, evaluation, set-up or
+sweep pays for a fork, nor for the copy-on-write faults on every heap
+page written after one. ``Workers`` is a scoped group: each ``map``
+splits its items into one contiguous share per process, the parent runs
+the first share itself and each worker one further share, and the
+results come back in share order. A worker exists before the call it
+serves, so it inherits none of the call's state: each call sends a
+module-level function (pickled by reference, as its import path), its
+arguments and the shares, and only each result travels back.
+``parallel_map`` is a group of one call. The package starts no threads
+of its own; OpenBLAS stops its thread pool before a fork and starts it
+again on its next call.
+
+Between groups an idle worker waits for its next request and keeps its
+heap, up to the 64 MiB trim threshold below. Workers end with their
+interpreter: an ``atexit`` hook closes their request pipes and reaps
+them (``close_workers``), and a worker exits at end of input. On Linux
+the kernel also kills a worker whose parent dies (``PR_SET_PDEATHSIG``;
+strictly, when the thread that forked it exits). A process forked by
+other means forgets the workers it inherited: it neither uses nor reaps
+them. An error in a ``map`` that has workers kills and reaps every
+worker, and the next group forks fresh ones; it also replaces a worker
+that died between groups. Measured in ``BENCH_20.json`` (README,
+Workers): a snapshot-wide set-up went from 15.6k minor faults in the
+parent and 14.1k in its worker to 5 in each, and from 0.208 to 0.163 s.
 
 The worker count is not an option: it is every core this process may
 run on (``os.sched_getaffinity``; ``taskset`` lowers it), capped at the
 number of items. Results do not depend on it: every item runs the same
-code on the same inputs, in-process or in a child. While children run,
-every process uses one BLAS thread, since two processes at two BLAS
-threads each on two cores run slower than one process alone. Groups do
-not nest: one opened inside a worker, or in the parent while its own
-group has children, runs in-process, so no more processes run than
-there are cores.
+code on the same inputs, in-process or in a worker. While a group has
+workers, every process uses one BLAS thread, since two processes at two
+BLAS threads each on two cores run slower than one process alone.
+Groups do not nest: one opened inside a worker, or in the parent while
+its own group has workers, runs in-process, so no more processes run
+than there are cores.
 
 Entering a group, in-process or not, first sets glibc's allocator policy
 (README, Workers): freed heap memory up to 64 MiB stays in the process.
@@ -29,6 +45,7 @@ It changes no arithmetic and cannot be undone (glibc has no getter).
 
 from __future__ import annotations
 
+import atexit
 import contextlib
 import contextvars
 import ctypes
@@ -36,14 +53,18 @@ import functools
 import os
 import pickle
 import signal
+import sys
 import warnings
 from pathlib import Path
 
 from .errors import WorkerError
 from .model import score_counter
 
-# True in a worker process, and in the parent while its group has children
+# True in a worker process, and in the parent while its group has workers
 _in_group = contextvars.ContextVar("uaperceiver_in_group", default=False)
+
+# This process's workers, as (pid, request pipe, reply pipe), oldest first
+_workers: list[tuple[int, object, object]] = []
 
 
 def worker_count(items: int) -> int:
@@ -86,44 +107,145 @@ def _openblas_threads():
     return None
 
 
-def _serve(fn, requests, replies) -> None:
-    """Worker body: for each (args, share) received, send back
-    (result, score deltas) or the exception raised; exit at end of input
-    without running any of the parent's clean-up. A child that cannot
-    send its reply exits without one."""
+def _die_with(parent: int) -> None:
+    """Have the kernel kill this worker when ``parent`` dies (Linux); exit
+    now if it already has."""
+    prctl = getattr(ctypes.pythonapi, "prctl", None) if sys.platform == "linux" else None
+    if prctl is not None:
+        prctl.argtypes, prctl.restype = [ctypes.c_int, ctypes.c_ulong], ctypes.c_int
+        prctl(1, signal.SIGKILL)  # PR_SET_PDEATHSIG
+    if os.getppid() != parent:
+        os._exit(0)
+
+
+def _answer(fn, args, share) -> bytes:
+    """The pickled reply to one request: ("ok", result, score deltas), or
+    ("error", the exception raised)."""
+    before = (score_counter.cross, score_counter.latent)
+    try:
+        return pickle.dumps(("ok", fn(args, share), score_counter.cross - before[0],
+                             score_counter.latent - before[1]), pickle.HIGHEST_PROTOCOL)
+    except Exception as exc:  # noqa: BLE001 - re-raised in the parent
+        return pickle.dumps(("error", exc))
+
+
+def _serve(parent: int, requests, replies) -> None:
+    """Worker body: answer each (fn, args, share) received; exit at end
+    of input without running any of the parent's clean-up. A worker that
+    cannot read a request or send its reply exits without one."""
     _in_group.set(True)
     try:
+        _die_with(parent)
         while True:
             try:
-                args, share = pickle.load(requests)
+                request = pickle.load(requests)
             except EOFError:
                 break
-            before = (score_counter.cross, score_counter.latent)
-            try:
-                reply = ("ok", fn(args, share), score_counter.cross - before[0],
-                         score_counter.latent - before[1])
-                data = pickle.dumps(reply, pickle.HIGHEST_PROTOCOL)
-            except Exception as exc:  # noqa: BLE001 - re-raised in the parent
-                data = pickle.dumps(("error", exc))
-            replies.write(data)
+            replies.write(_answer(*request))
             replies.flush()
+            del request  # an idle worker holds no call's arguments
     finally:
         os._exit(0)
+
+
+def _fork_worker() -> None:
+    """Fork one more worker and add it to ``_workers``."""
+    parent = os.getpid()
+    request_r, request_w = os.pipe()
+    reply_r, reply_w = os.pipe()
+    try:
+        with warnings.catch_warnings():
+            # Python >= 3.12 warns on fork while OpenBLAS threads exist
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+    except OSError:
+        for fd in (request_r, request_w, reply_r, reply_w):
+            os.close(fd)
+        raise
+    if pid == 0:
+        os.close(request_w)
+        os.close(reply_r)
+        _serve(parent, os.fdopen(request_r, "rb"), os.fdopen(reply_w, "wb"))
+    os.close(request_r)
+    os.close(reply_w)
+    _workers.append((pid, os.fdopen(request_w, "wb"), os.fdopen(reply_r, "rb")))
+
+
+def _forget(worker) -> None:
+    """Close this process's ends of ``worker``'s pipes and drop it from
+    ``_workers``; a worker whose request pipe closes exits."""
+    _workers.remove(worker)
+    _, requests, replies = worker
+    with contextlib.suppress(OSError):  # a dead worker's unflushed request
+        requests.close()
+    replies.close()
+
+
+def _has_exited(pid: int) -> bool:
+    """Whether worker ``pid`` has exited; reaps it if so."""
+    try:
+        return os.waitpid(pid, os.WNOHANG)[0] != 0
+    except ChildProcessError:  # already reaped
+        return True
+
+
+def _ready_workers(count: int) -> list:
+    """The first ``count`` workers, once any that died are replaced."""
+    for worker in list(_workers):
+        if _has_exited(worker[0]):
+            _forget(worker)
+    while len(_workers) < count:
+        _fork_worker()
+    return _workers[:count]
+
+
+def _forget_all() -> None:
+    """Forget every worker; in a child forked by any means, the parent's
+    workers are not its own to use or reap."""
+    for worker in list(_workers):
+        _forget(worker)
+
+
+def close_workers() -> None:
+    """End this process's workers: close their request pipes, so each
+    exits at end of input, and reap them. Runs at interpreter exit; the
+    next group forks fresh workers."""
+    pids = [pid for pid, _, _ in _workers]
+    _forget_all()
+    for pid in pids:
+        with contextlib.suppress(ChildProcessError):
+            os.waitpid(pid, 0)
+
+
+def _kill_workers() -> None:
+    """Kill and reap every worker, whatever it is doing."""
+    for pid, _, _ in _workers:
+        with contextlib.suppress(ProcessLookupError):
+            os.kill(pid, signal.SIGKILL)
+    close_workers()
+
+
+atexit.register(close_workers)
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_all)
 
 
 class Workers:
     """``with Workers(fn, n_items) as w: w.map(args, items)``.
 
-    Entering forks ``worker_count(n_items) - 1`` children. ``map`` returns
+    ``fn`` is a module-level function. Entering makes
+    ``worker_count(n_items) - 1`` of this process's workers ready, forking
+    only those that do not exist yet. ``map`` returns
     ``[fn(args, share) for share in shares]``: ``items`` (a list or a
     range) sliced into one contiguous share per process. The parent runs
-    the first share; ``args`` is pickled to each child, which runs one
-    more share and sends its result back. An exception raised by ``fn``
-    in a child is raised again here, with its class and message; a child
-    that dies is a ``WorkerError``. On exit, or on an error in ``map``,
-    every child is killed and reaped. Runs in-process when one worker
-    remains, the platform cannot fork, the BLAS thread count cannot be
-    pinned, or another group is active in this process."""
+    the first share; ``fn``, ``args`` and one more share are pickled to
+    each worker, which sends its result back. An exception raised by
+    ``fn`` in a worker is raised again here, with its class and message;
+    a worker that dies is a ``WorkerError``. An error in a ``map`` with
+    workers kills and reaps every worker, and later calls of the group
+    run in-process. Leaving the group ends no worker. Runs in-process
+    when one process suffices, the platform cannot fork, the BLAS thread
+    count cannot be pinned, or another group is active in this process."""
 
     def __init__(self, fn, n_items: int):
         self.fn = fn
@@ -142,49 +264,24 @@ class Workers:
             return self
         get_threads, set_threads = self._blas
         self._saved_threads = get_threads()
-        set_threads(1)
+        set_threads(1)  # before any fork, so every worker runs one thread
         try:
-            for _ in range(workers - 1):
-                self._fork()
+            self._children = _ready_workers(workers - 1)
         except BaseException:
             self._close()
             raise
         self._token = _in_group.set(True)
         return self
 
-    def _fork(self) -> None:
-        request_r, request_w = os.pipe()
-        reply_r, reply_w = os.pipe()
-        try:
-            with warnings.catch_warnings():
-                # Python >= 3.12 warns on fork while OpenBLAS threads exist
-                warnings.simplefilter("ignore", DeprecationWarning)
-                pid = os.fork()
-        except OSError:
-            for fd in (request_r, request_w, reply_r, reply_w):
-                os.close(fd)
-            raise
-        if pid == 0:
-            os.close(request_w)
-            os.close(reply_r)
-            _serve(self.fn, os.fdopen(request_r, "rb"), os.fdopen(reply_w, "wb"))
-        os.close(request_r)
-        os.close(reply_w)
-        self._children.append((pid, os.fdopen(request_w, "wb"), os.fdopen(reply_r, "rb")))
-
-    def map(self, args, items, last: bool = False) -> list:
-        """``last``: the group's final call; each child exits once it has
-        replied, so its exit overlaps the parent's share."""
+    def map(self, args, items) -> list:
         processes = len(self._children) + 1
         bounds = [len(items) * k // processes for k in range(processes + 1)]
         shares = [items[a:b] for a, b in zip(bounds, bounds[1:])]
         try:
             for (pid, requests, _), share in zip(self._children, shares[1:]):
                 try:
-                    pickle.dump((args, share), requests, pickle.HIGHEST_PROTOCOL)
+                    pickle.dump((self.fn, args, share), requests, pickle.HIGHEST_PROTOCOL)
                     requests.flush()
-                    if last:
-                        requests.close()
                 except OSError:
                     raise WorkerError(f"worker process {pid} is gone") from None
             results = [self.fn(args, shares[0])]
@@ -192,13 +289,15 @@ class Workers:
                 results.append(self._receive(pid, replies))
             return results
         except BaseException:
+            if self._children:  # their replies are unread: end them
+                _kill_workers()
             self._close()
             raise
 
     @staticmethod
     def _receive(pid: int, replies):
-        """The result a child sent, its score deltas added to this
-        process's counter; the child's exception is raised here."""
+        """The result a worker sent, its score deltas added to this
+        process's counter; the worker's exception is raised here."""
         try:
             reply = pickle.load(replies)
         except Exception:  # noqa: BLE001 - end of input or a torn reply
@@ -211,18 +310,11 @@ class Workers:
         return result
 
     def _close(self) -> None:
-        """Kill and reap every child and restore the BLAS thread count;
-        later calls run in-process."""
+        """Leave the group, restoring the BLAS thread count; later calls
+        run in-process."""
         if self._token is not None:
             _in_group.reset(self._token)
             self._token = None
-        for pid, requests, replies in self._children:
-            with contextlib.suppress(OSError):
-                requests.close()
-            replies.close()
-            with contextlib.suppress(ProcessLookupError):
-                os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
         self._children = []
         if self._blas is not None:
             self._blas[1](self._saved_threads)
@@ -232,9 +324,10 @@ class Workers:
         self._close()
 
 
-def parallel_map(fn, items) -> list:
-    """``[fn(share) for share in shares]``: the sequence ``items`` (a
-    list or a range) sliced into ``worker_count(len(items))`` contiguous
-    shares, one per process, by a ``Workers`` group of one call."""
-    with Workers(lambda _, share: fn(share), len(items)) as workers:
-        return workers.map(None, items, last=True)
+def parallel_map(fn, args, items) -> list:
+    """``[fn(args, share) for share in shares]``: the sequence ``items``
+    (a list or a range) sliced into ``worker_count(len(items))``
+    contiguous shares, one per process, by a ``Workers`` group of one
+    call. ``fn`` is a module-level function."""
+    with Workers(fn, len(items)) as workers:
+        return workers.map(args, items)

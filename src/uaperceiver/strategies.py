@@ -78,38 +78,18 @@ class Predictor:
         """One n x K block of probability rows per member, in member order.
 
         The images split into one contiguous slice per worker
-        (``parallel_map``), each run through every member. A row does not
-        depend on the slice it is in: forwards are batch-invariant and MC
-        image i draws its masks from ``derive_seed(mc_seed, i)`` by its
-        index in ``images``. An MC member runs the byte side once per
-        image and the latent side once per FORWARD_CHUNK of its
-        ``mc_samples`` samples (``mc_predict``), bit-equal to forwarding
-        every masked copy."""
+        (``parallel_map`` of ``_slice_probabilities``), each run through
+        every member. A row does not depend on the slice it is in:
+        forwards are batch-invariant and MC image i draws its masks from
+        ``derive_seed(mc_seed, i)`` by its index in ``images``. An MC
+        member runs the byte side once per image and the latent side once
+        per FORWARD_CHUNK of its ``mc_samples`` samples (``mc_predict``),
+        bit-equal to forwarding every masked copy."""
         images = np.asarray(images, dtype=np.float64)
         if images.ndim == 3:
             images = images[None]
-        blocks = parallel_map(lambda span: self._slice_probabilities(images, span),
-                              range(len(images)))
+        blocks = parallel_map(_slice_probabilities, (self, images), range(len(images)))
         return [np.concatenate(parts) for parts in zip(*blocks)]
-
-    def _slice_probabilities(self, images, span: range) -> list[np.ndarray]:
-        """Each member's probability rows for the images at ``span``."""
-        member_probs = []
-        for j, store in enumerate(self.members):
-            if self.mc_samples:
-                probs = np.stack([
-                    mc_predict(self.config, store, images[i], self.mc_delta,
-                               self.mc_samples, derive_seed(self.mc_seed, i))
-                    for i in span
-                ])
-            else:
-                logits = forward_logits(self.config, store,
-                                        images[span.start:span.stop])
-                if self.temperatures is not None:
-                    logits = logits / self.temperatures[j]
-                probs = softmax_rows(logits)
-            member_probs.append(probs)
-        return member_probs
 
     def probabilities(self, images) -> np.ndarray:
         """n x K probability rows, averaged over members."""
@@ -122,6 +102,28 @@ def ensemble_average(member_probs) -> np.ndarray:
     if stacked.ndim != 3:
         raise UsageError("ensemble_average expects M lists of n x K rows")
     return stacked.mean(axis=0)
+
+
+def _slice_probabilities(args, span: range) -> list[np.ndarray]:
+    """Each member's probability rows for the images at ``span``; ``args``
+    is (predictor, images)."""
+    predictor, images = args
+    member_probs = []
+    for j, store in enumerate(predictor.members):
+        if predictor.mc_samples:
+            probs = np.empty((len(span), predictor.config.num_classes))
+            for row, i in enumerate(span):
+                probs[row] = mc_predict(predictor.config, store, images[i],
+                                        predictor.mc_delta, predictor.mc_samples,
+                                        derive_seed(predictor.mc_seed, i))
+        else:
+            logits = forward_logits(predictor.config, store,
+                                    images[span.start:span.stop])
+            if predictor.temperatures is not None:
+                logits = logits / predictor.temperatures[j]
+            probs = softmax_rows(logits)
+        member_probs.append(probs)
+    return member_probs
 
 
 # ---- shared training loop -------------------------------------------
@@ -153,15 +155,9 @@ def train_model(
     state = AdamWState(params, settings.adamw)
     mask_rng = generator(seed, 0xD0) if settings.mc_delta > 0 else None
     batch = min(settings.batch_size, len(dataset))
-
-    def share_gradients(args, share):
-        vector, images, labels = args
-        params.vector[:] = vector  # a child's copy; the same array in the parent
-        return chunk_gradients(config, params, images, labels, share)
-
     batches: list = []
     epoch = 0
-    with Workers(share_gradients, -(-batch // FORWARD_CHUNK)) as workers:
+    with Workers(_share_gradients, -(-batch // FORWARD_CHUNK)) as workers:
         for t in range(1, schedule.total_steps + 1):
             if not batches:
                 batches = make_batches(dataset, settings.batch_size,
@@ -174,9 +170,8 @@ def train_model(
             if n_chunks == 1:
                 parts = chunk_gradients(config, params, images, labels, range(1))
             else:
-                parts = chain(*workers.map((params.vector, images, labels),
-                                           range(n_chunks),
-                                           last=t == schedule.total_steps))
+                parts = chain(*workers.map((config, params, images, labels),
+                                           range(n_chunks)))
             loss_value, grad_vector = _sum_parts(parts)
             if not np.isfinite(loss_value):
                 raise NumericError(f"non-finite loss at step {t}")
@@ -186,6 +181,13 @@ def train_model(
             if on_step is not None:
                 on_step(t, params, log)
     return log
+
+
+def _share_gradients(args, chunks) -> list[tuple[float, np.ndarray]]:
+    """``chunk_gradients`` of a share of a batch's chunks; ``args`` is
+    (config, params, images, labels), and a worker gets a copy of the
+    store."""
+    return chunk_gradients(*args, chunks)
 
 
 def chunk_gradients(config: PerceiverConfig, params: ParamStore, images, labels,
@@ -264,15 +266,20 @@ def deep_ensemble_train(
     (``parallel_map``); each is the same in any of them."""
     if ensemble_size < 1:
         raise UsageError(f"ensemble_size must be >= 1, got {ensemble_size}")
-    shares = parallel_map(
-        lambda span: [train_member(config, dataset, schedule,
-                                   derive_seed(base_seed, m), settings)
-                      for m in span],
-        range(ensemble_size),
-    )
+    shares = parallel_map(_train_members,
+                          (config, dataset, schedule, base_seed, settings),
+                          range(ensemble_size))
     members, temps, logs = (list(column) for column in zip(*chain(*shares)))
     kind = "deep_ensemble" if ensemble_size > 1 else "single"
     return Predictor(kind, config, members, temperatures=temps), logs
+
+
+def _train_members(args, span: range) -> list[tuple[ParamStore, float, TrainRunLog]]:
+    """``train_member`` of each deep-ensemble member index in ``span``;
+    ``args`` is (config, dataset, schedule, base_seed, settings)."""
+    config, dataset, schedule, base_seed, settings = args
+    return [train_member(config, dataset, schedule, derive_seed(base_seed, m), settings)
+            for m in span]
 
 
 def swa_train(

@@ -1,9 +1,26 @@
 """Shared fixtures and oracles for the test suite."""
 
+import os
+
 import numpy as np
 import pytest
 
 import uaperceiver as ua
+from uaperceiver import parallel
+
+
+@pytest.fixture(autouse=True)
+def no_process_left():
+    """Close this process's workers after each test, as its exit does, so
+    the next test forks its own: a monkeypatch made in a test reaches the
+    workers it forks. A child process left behind fails the test."""
+    yield
+    parallel.close_workers()
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"the test left a child process ({pid or 'still running'})")
 
 
 @pytest.fixture

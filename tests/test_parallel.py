@@ -1,10 +1,13 @@
 """Forked workers: worker-count resolution, share order, error and
-process hygiene, worker groups held for a training run, and results that
-do not depend on the worker count."""
+process hygiene, workers forked once per process and reused by every
+later group, and results that do not depend on the worker count."""
 
 import ctypes
 import os
 import resource
+import signal
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -44,6 +47,72 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+def count_forks(monkeypatch) -> list:
+    """A list that gains one entry per ``os.fork`` call."""
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    return forks
+
+
+def worker_pids() -> list[int]:
+    return [pid for pid, _, _ in parallel._workers]
+
+
+def has_exited(pid) -> bool:
+    """``pid`` is gone or a zombie: it has exited, reaped or not."""
+    try:
+        return Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0] == "Z"
+    except FileNotFoundError:
+        return True
+
+
+def wait_until_exited(pid):
+    deadline = time.monotonic() + 10
+    while not has_exited(pid):
+        assert time.monotonic() < deadline, f"process {pid} still runs"
+        time.sleep(0.01)
+
+
+# ---- work functions: module-level, so a worker receives them by name ----
+
+
+def squares_and_pids(args, share):
+    return [(x * x, os.getpid()) for x in share]
+
+
+def scaled_and_pids(args, share):
+    return [(args * x, os.getpid()) for x in share]
+
+
+def args_share_and_pid(args, share):
+    return (args, list(share), os.getpid())
+
+
+def pid_of(args, share):
+    return os.getpid()
+
+
+def fail_on_item_1(args, share):
+    if 1 in share:
+        raise NumericError(f"member 1 diverged in {os.getpid()}")
+    return list(share)
+
+
+def die_on_item_1(args, share):
+    if 1 in share:
+        os._exit(1)
+    return list(share)
+
+
+def blas_threads(args, share):
+    return _openblas_threads()[0]()
+
+
+def pid_and_inner_pids(args, share):
+    return (os.getpid(), parallel_map(pid_of, None, range(2)))
+
+
 # ---- worker count ----------------------------------------------------
 
 
@@ -65,11 +134,13 @@ def test_worker_count_is_one_where_usable_cores_are_unknown(monkeypatch):
 
 
 def test_parallel_map_keeps_share_order_and_stays_within_the_cap():
-    shares = parallel_map(lambda share: [(x * x, os.getpid()) for x in share], range(7))
+    shares = parallel_map(squares_and_pids, None, range(7))
     assert len(shares) == min(CORES, 7)
     assert [v for share in shares for v, _ in share] == [x * x for x in range(7)]
     pids = flat_pids(shares)
     assert len(pids) == len(shares)
+    assert pids - {os.getpid()} == set(worker_pids())
+    parallel.close_workers()
     for pid in pids - {os.getpid()}:
         assert_reaped(pid)
 
@@ -77,37 +148,29 @@ def test_parallel_map_keeps_share_order_and_stays_within_the_cap():
 def test_parallel_map_runs_in_process_where_the_platform_cannot_fork(monkeypatch):
     use_workers(monkeypatch, 2)
     monkeypatch.delattr(os, "fork")
-    shares = parallel_map(lambda share: [(x, os.getpid()) for x in share], range(4))
+    shares = parallel_map(squares_and_pids, None, range(4))
     assert len(shares) == 1 and flat_pids(shares) == {os.getpid()}
 
 
 def test_worker_exception_is_raised_with_its_class_and_message(monkeypatch):
     use_workers(monkeypatch, 2)
-    pids = []
-
-    def fail_in_worker(share):
-        if 1 in share:
-            raise NumericError(f"member 1 diverged in {os.getpid()}")
-        pids.append(os.getpid())
-        return list(share)
-
     with pytest.raises(NumericError, match="member 1 diverged in") as info:
-        parallel_map(fail_in_worker, range(2))
+        parallel_map(fail_on_item_1, None, range(2))
     worker = int(str(info.value).rsplit(" ", 1)[1])
-    assert pids == [os.getpid()] and worker != os.getpid()
+    assert worker != os.getpid()
+    # an error in a call kills and reaps every worker
     assert_reaped(worker)
+    assert worker_pids() == []
 
 
 def test_worker_dying_without_a_result_is_a_worker_error(monkeypatch):
     use_workers(monkeypatch, 2)
-
-    def die_in_worker(share):
-        if 1 in share:
-            os._exit(1)
-        return list(share)
-
+    assert parallel_map(die_on_item_1, None, range(1)) == [[0]]
     with pytest.raises(WorkerError, match="exited without a result"):
-        parallel_map(die_in_worker, range(2))
+        parallel_map(die_on_item_1, None, range(2))
+    assert_no_child_left()
+    # the next group forks a fresh worker
+    assert parallel_map(die_on_item_1, None, [0, 2]) == [[0], [2]]
 
 
 def test_workers_run_one_blas_thread_and_the_count_is_restored(monkeypatch):
@@ -117,57 +180,119 @@ def test_workers_run_one_blas_thread_and_the_count_is_restored(monkeypatch):
     use_workers(monkeypatch, 2)
     get_threads = blas[0]
     before = get_threads()
-    assert parallel_map(lambda share: get_threads(), range(2)) == [1, 1]
+    assert parallel_map(blas_threads, None, range(2)) == [1, 1]
     assert get_threads() == before
 
 
 def test_groups_do_not_nest(monkeypatch):
     use_workers(monkeypatch, 2)
-    outer = parallel_map(
-        lambda share: (os.getpid(), parallel_map(lambda s: os.getpid(), range(2))),
-        range(2))
+    forks = count_forks(monkeypatch)
+    outer = parallel_map(pid_and_inner_pids, None, range(2))
     assert outer[0][0] == os.getpid() and outer[1][0] != os.getpid()
     # each process's inner call ran in that process alone
     assert [inner for _, inner in outer] == [[pid] for pid, _ in outer]
-    assert_no_child_left()
-    # the outer group has ended, so the next call forks again
-    assert len(set(parallel_map(lambda s: os.getpid(), range(2)))) == 2
+    assert forks == [1] and worker_pids() == [outer[1][0]]
+    # the outer group has ended, so the next call runs on the same worker
+    assert parallel_map(pid_of, None, range(2)) == [pid for pid, _ in outer]
 
 
-# ---- a group held over many calls ---------------------------------------
+# ---- workers forked once per process ---------------------------------------
 
 
 def test_a_group_forks_once_and_serves_every_call(monkeypatch):
     use_workers(monkeypatch, 2)
-    forks = []
-    fork = os.fork
-    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
-    with Workers(lambda args, share: [(args * x, os.getpid()) for x in share], 5) as w:
+    forks = count_forks(monkeypatch)
+    with Workers(scaled_and_pids, 5) as w:
         calls = [w.map(k, range(5)) for k in (1, 10, 100)]
     assert forks == [1]
     for k, shares in zip((1, 10, 100), calls):
         assert [v for share in shares for v, _ in share] == [k * x for x in range(5)]
     assert len({pid for shares in calls for pid in flat_pids(shares)}) == 2
-    assert_no_child_left()
 
 
-def test_children_exit_by_themselves_after_the_last_call(monkeypatch):
+def test_later_groups_runs_and_sweeps_fork_nothing(tmp_path, monkeypatch):
     use_workers(monkeypatch, 2)
-    with Workers(lambda args, share: list(share), 2) as w:
-        assert w.map(None, range(2), last=True) == [[0], [1]]
-        [(pid, _, _)] = w._children
-        stat = Path(f"/proc/{pid}/stat")
-        deadline = time.monotonic() + 10
-        # a zombie ("Z") has exited and waits to be reaped
-        while stat.read_text().rsplit(")", 1)[1].split()[0] != "Z":
-            assert time.monotonic() < deadline
-            time.sleep(0.01)
-    assert_no_child_left()
+    forks = count_forks(monkeypatch)
+    first = parallel_map(pid_of, None, range(2))
+    assert forks == [1]
+    assert parallel_map(pid_of, None, range(2)) == first
+    for run in ("a", "b"):
+        ua.run_train(tiny_run_config(tmp_path / run, strategy="snapshot", batch_size=16))
+    ua.sweep_ensemble(tiny_run_config(tmp_path / "sweep", train_steps=2), max_size=2)
+    assert forks == [1] and worker_pids() == first[1:]
+
+
+def test_a_worker_killed_between_groups_is_replaced(monkeypatch):
+    use_workers(monkeypatch, 2)
+    [_, killed] = parallel_map(pid_of, None, range(2))
+    os.kill(killed, signal.SIGKILL)
+    wait_until_exited(killed)
+    [parent, replacement] = parallel_map(pid_of, None, range(2))
+    assert parent == os.getpid() and replacement not in (parent, killed)
+    assert_reaped(killed)
+    assert worker_pids() == [replacement]
+
+
+def test_a_worker_exits_at_end_of_input(monkeypatch):
+    use_workers(monkeypatch, 2)
+    [_, worker] = parallel_map(pid_of, None, range(2))
+    # close this process's ends of the worker's pipes, without reaping it
+    parallel._forget_all()
+    wait_until_exited(worker)
+    os.waitpid(worker, 0)
+
+
+WORKER_SCRIPT = """
+import os, signal, sys
+sys.path.insert(0, sys.argv[1])
+from uaperceiver import parallel
+parallel.worker_count = lambda items: max(1, min(2, items))
+def pid_of(args, share):
+    return os.getpid()
+print(parallel.parallel_map(pid_of, None, range(2))[1], flush=True)
+if sys.argv[2] == "killed":
+    os.kill(os.getpid(), signal.SIGKILL)
+"""
+
+
+@pytest.mark.parametrize("end", ["exits", "killed"])
+def test_workers_end_with_their_interpreter(end):
+    if _openblas_threads() is None:
+        pytest.skip("no OpenBLAS loaded, so groups run in-process")
+    if end == "killed" and sys.platform != "linux":
+        pytest.skip("workers die with their parent on Linux only")
+    src = Path(ua.__file__).resolve().parent.parent
+    done = subprocess.run([sys.executable, "-c", WORKER_SCRIPT, str(src), end],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == (0 if end == "exits" else -signal.SIGKILL), done.stderr
+    worker = int(done.stdout)
+    if end == "exits":
+        # reaped by the interpreter's exit hook before it ended
+        assert_reaped(worker)
+    else:
+        # killed by the kernel once its parent died
+        wait_until_exited(worker)
+
+
+def test_a_process_forked_by_other_means_leaves_the_workers_alone(monkeypatch):
+    use_workers(monkeypatch, 2)
+    [_, worker] = parallel_map(pid_of, None, range(2))
+    child = os.fork()
+    if child == 0:
+        try:
+            inherited = worker_pids()
+            own = parallel_map(pid_of, None, range(2))[1]
+            parallel.close_workers()
+            os._exit(0 if inherited == [] and own != worker else 1)
+        finally:
+            os._exit(2)
+    assert os.waitpid(child, 0)[1] == 0
+    assert parallel_map(pid_of, None, range(2))[1] == worker
 
 
 def test_a_group_runs_in_process_with_one_worker(monkeypatch):
     use_workers(monkeypatch, 1)
-    with Workers(lambda args, share: (args, list(share), os.getpid()), 4) as w:
+    with Workers(args_share_and_pid, 4) as w:
         assert w.map("a", range(4)) == [("a", [0, 1, 2, 3], os.getpid())]
 
 
@@ -190,15 +315,29 @@ def test_training_chunks_stop_page_faulting():
 
 def test_training_forks_once_per_run(tmp_path, monkeypatch):
     use_workers(monkeypatch, 2)
-    forks = []
-    fork = os.fork
-    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    forks = count_forks(monkeypatch)
     config = tiny_run_config(tmp_path, strategy="snapshot", batch_size=16)
     strategies.snapshot_train(config.model_config(), 0,
                               ua.synth_dataset(0, 24, resolution=4, channels=1),
                               config.schedule(), config.train_settings())
     assert forks == [1] and config.train_steps > 1
-    assert_no_child_left()
+
+
+def test_a_second_training_run_takes_almost_no_page_faults(tmp_path, monkeypatch):
+    """After the first group, the parent writes only to pages it already
+    owns: no fork write-protects its heap again."""
+    if not hasattr(ctypes.pythonapi, "mallopt"):
+        pytest.skip("libc has no mallopt")
+    use_workers(monkeypatch, 2)
+    faults = []
+    for run in ("a", "b"):
+        config = ua.RunConfig(strategy="snapshot", batch_size=16, train_steps=2,
+                              snapshot_cycles=1, synth_train=32, synth_test=8,
+                              out_dir=str(tmp_path / run))
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        ua.run_train(config)
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    assert faults[1] < 1000, faults
 
 
 # ---- results do not depend on the worker count -------------------------

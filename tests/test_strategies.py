@@ -383,6 +383,17 @@ def test_mc_predictor_averages_its_members(tiny_config, tiny_dataset):
     np.testing.assert_array_equal(mc(stores), expected)
 
 
+@pytest.mark.parametrize("kind,extra", [
+    ("single", {"temperatures": [1.5]}),
+    ("mc_dropout", {"mc_delta": 0.2, "mc_samples": 4}),
+])
+def test_probabilities_of_no_images_are_no_rows(tiny_config, kind, extra):
+    predictor = ua.Predictor(kind, tiny_config, [init_params(tiny_config, 17).detached()],
+                             **extra)
+    probs = predictor.probabilities(np.zeros((0, 4, 4, 1)))
+    assert probs.shape == (0, tiny_config.num_classes)
+
+
 def test_mc_predictor_rejects_bad_combinations(tiny_config):
     params = init_params(tiny_config, 16).detached()
     with pytest.raises(UsageError):
