@@ -10,7 +10,9 @@ the first share itself and each worker one further share, and the
 results come back in share order. A worker exists before the call it
 serves, so it inherits none of the call's state: each call sends a
 module-level function (pickled by reference, as its import path), its
-arguments and the shares, and only each result travels back.
+arguments and the shares, and only each result travels back. A share is
+a slice of the items, so data passed as items, not as an argument,
+reaches each worker as its own slice only.
 ``parallel_map`` is a group of one call. The package starts no threads
 of its own; OpenBLAS stops its thread pool before a fork and starts it
 again on its next call.
@@ -25,8 +27,8 @@ other means forgets the workers it inherited: it neither uses nor reaps
 them. An error in a ``map`` that has workers kills and reaps every
 worker, and the next group forks fresh ones; it also replaces a worker
 that died between groups. Measured in ``BENCH_20.json`` (README,
-Workers): a snapshot-wide set-up went from 15.6k minor faults in the
-parent and 14.1k in its worker to 5 in each, and from 0.208 to 0.163 s.
+Workers): a snapshot-wide set-up went from 15.7k minor faults in the
+parent and 14.1k in its worker to 4-6 in each, and from 0.222 to 0.164 s.
 
 The worker count is not an option: it is every core this process may
 run on (``os.sched_getaffinity``; ``taskset`` lowers it), capped at the
@@ -123,7 +125,7 @@ def _answer(fn, args, share) -> bytes:
     ("error", the exception raised)."""
     before = (score_counter.cross, score_counter.latent)
     try:
-        return pickle.dumps(("ok", fn(args, share), score_counter.cross - before[0],
+        return pickle.dumps(("ok", fn(*args, share), score_counter.cross - before[0],
                              score_counter.latent - before[1]), pickle.HIGHEST_PROTOCOL)
     except Exception as exc:  # noqa: BLE001 - re-raised in the parent
         return pickle.dumps(("error", exc))
@@ -131,8 +133,11 @@ def _answer(fn, args, share) -> bytes:
 
 def _serve(parent: int, requests, replies) -> None:
     """Worker body: answer each (fn, args, share) received; exit at end
-    of input without running any of the parent's clean-up. A worker that
-    cannot read a request or send its reply exits without one."""
+    of input without running any of the parent's clean-up. A request it
+    cannot unpickle (say, a function the parent's module gained after the
+    fork) is answered with the exception, and the worker exits, since the
+    rest of that request is unread. A worker that cannot send its reply
+    exits without one."""
     _in_group.set(True)
     try:
         _die_with(parent)
@@ -140,6 +145,10 @@ def _serve(parent: int, requests, replies) -> None:
             try:
                 request = pickle.load(requests)
             except EOFError:
+                break
+            except Exception as exc:  # noqa: BLE001 - re-raised in the parent
+                replies.write(pickle.dumps(("error", exc)))
+                replies.flush()
                 break
             replies.write(_answer(*request))
             replies.flush()
@@ -236,8 +245,9 @@ class Workers:
     ``fn`` is a module-level function. Entering makes
     ``worker_count(n_items) - 1`` of this process's workers ready, forking
     only those that do not exist yet. ``map`` returns
-    ``[fn(args, share) for share in shares]``: ``items`` (a list or a
-    range) sliced into one contiguous share per process. The parent runs
+    ``[fn(*args, share) for share in shares]``: ``args`` a tuple, and
+    ``items`` (any sequence that slices, such as a list or a range)
+    sliced into one contiguous share per process. The parent runs
     the first share; ``fn``, ``args`` and one more share are pickled to
     each worker, which sends its result back. An exception raised by
     ``fn`` in a worker is raised again here, with its class and message;
@@ -284,7 +294,7 @@ class Workers:
                     requests.flush()
                 except OSError:
                     raise WorkerError(f"worker process {pid} is gone") from None
-            results = [self.fn(args, shares[0])]
+            results = [self.fn(*args, shares[0])]
             for pid, _, replies in self._children:
                 results.append(self._receive(pid, replies))
             return results
@@ -325,8 +335,8 @@ class Workers:
 
 
 def parallel_map(fn, args, items) -> list:
-    """``[fn(args, share) for share in shares]``: the sequence ``items``
-    (a list or a range) sliced into ``worker_count(len(items))``
+    """``[fn(*args, share) for share in shares]``: the sequence ``items``
+    (any sequence that slices) sliced into ``worker_count(len(items))``
     contiguous shares, one per process, by a ``Workers`` group of one
     call. ``fn`` is a module-level function."""
     with Workers(fn, len(items)) as workers:

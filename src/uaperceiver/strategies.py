@@ -79,7 +79,8 @@ class Predictor:
 
         The images split into one contiguous slice per worker
         (``parallel_map`` of ``_slice_probabilities``), each run through
-        every member. A row does not depend on the slice it is in:
+        every member; a worker is sent its own slice only. A row does not
+        depend on the slice it is in:
         forwards are batch-invariant and MC image i draws its masks from
         ``derive_seed(mc_seed, i)`` by its index in ``images``. An MC
         member runs the byte side once per image and the latent side once
@@ -88,7 +89,7 @@ class Predictor:
         images = np.asarray(images, dtype=np.float64)
         if images.ndim == 3:
             images = images[None]
-        blocks = parallel_map(_slice_probabilities, (self, images), range(len(images)))
+        blocks = parallel_map(_slice_probabilities, (self,), _Rows(images))
         return [np.concatenate(parts) for parts in zip(*blocks)]
 
     def probabilities(self, images) -> np.ndarray:
@@ -104,21 +105,34 @@ def ensemble_average(member_probs) -> np.ndarray:
     return stacked.mean(axis=0)
 
 
-def _slice_probabilities(args, span: range) -> list[np.ndarray]:
-    """Each member's probability rows for the images at ``span``; ``args``
-    is (predictor, images)."""
-    predictor, images = args
+@dataclass(frozen=True)
+class _Rows:
+    """Images and the index of the first one in the whole batch. A slice
+    keeps both and views the same memory, so pickling it sends only its
+    own images."""
+
+    images: np.ndarray
+    start: int = 0
+
+    def __len__(self) -> int:
+        return len(self.images)
+
+    def __getitem__(self, span: slice) -> "_Rows":
+        return _Rows(self.images[span], self.start + span.indices(len(self))[0])
+
+
+def _slice_probabilities(predictor: Predictor, rows: _Rows) -> list[np.ndarray]:
+    """Each member's probability rows for the images of ``rows``."""
     member_probs = []
     for j, store in enumerate(predictor.members):
         if predictor.mc_samples:
-            probs = np.empty((len(span), predictor.config.num_classes))
-            for row, i in enumerate(span):
-                probs[row] = mc_predict(predictor.config, store, images[i],
+            probs = np.empty((len(rows), predictor.config.num_classes))
+            for row, image in enumerate(rows.images):
+                probs[row] = mc_predict(predictor.config, store, image,
                                         predictor.mc_delta, predictor.mc_samples,
-                                        derive_seed(predictor.mc_seed, i))
+                                        derive_seed(predictor.mc_seed, rows.start + row))
         else:
-            logits = forward_logits(predictor.config, store,
-                                    images[span.start:span.stop])
+            logits = forward_logits(predictor.config, store, rows.images)
             if predictor.temperatures is not None:
                 logits = logits / predictor.temperatures[j]
             probs = softmax_rows(logits)
@@ -157,7 +171,7 @@ def train_model(
     batch = min(settings.batch_size, len(dataset))
     batches: list = []
     epoch = 0
-    with Workers(_share_gradients, -(-batch // FORWARD_CHUNK)) as workers:
+    with Workers(chunk_gradients, -(-batch // FORWARD_CHUNK)) as workers:
         for t in range(1, schedule.total_steps + 1):
             if not batches:
                 batches = make_batches(dataset, settings.batch_size,
@@ -181,13 +195,6 @@ def train_model(
             if on_step is not None:
                 on_step(t, params, log)
     return log
-
-
-def _share_gradients(args, chunks) -> list[tuple[float, np.ndarray]]:
-    """``chunk_gradients`` of a share of a batch's chunks; ``args`` is
-    (config, params, images, labels), and a worker gets a copy of the
-    store."""
-    return chunk_gradients(*args, chunks)
 
 
 def chunk_gradients(config: PerceiverConfig, params: ParamStore, images, labels,
@@ -263,7 +270,8 @@ def deep_ensemble_train(
 ) -> tuple[Predictor, list[TrainRunLog]]:
     """Independently seeded members, each temperature-scaled before the
     uniform probability average. Members train in worker processes
-    (``parallel_map``); each is the same in any of them."""
+    (``parallel_map``); each is the same in any of them. Each worker is
+    sent its own copy of ``dataset``."""
     if ensemble_size < 1:
         raise UsageError(f"ensemble_size must be >= 1, got {ensemble_size}")
     shares = parallel_map(_train_members,
@@ -274,10 +282,10 @@ def deep_ensemble_train(
     return Predictor(kind, config, members, temperatures=temps), logs
 
 
-def _train_members(args, span: range) -> list[tuple[ParamStore, float, TrainRunLog]]:
-    """``train_member`` of each deep-ensemble member index in ``span``;
-    ``args`` is (config, dataset, schedule, base_seed, settings)."""
-    config, dataset, schedule, base_seed, settings = args
+def _train_members(config: PerceiverConfig, dataset: Dataset, schedule: LRSchedule,
+                   base_seed: int, settings: TrainSettings,
+                   span: range) -> list[tuple[ParamStore, float, TrainRunLog]]:
+    """``train_member`` of each deep-ensemble member index in ``span``."""
     return [train_member(config, dataset, schedule, derive_seed(base_seed, m), settings)
             for m in span]
 

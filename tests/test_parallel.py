@@ -77,40 +77,45 @@ def wait_until_exited(pid):
 # ---- work functions: module-level, so a worker receives them by name ----
 
 
-def squares_and_pids(args, share):
+def squares_and_pids(share):
     return [(x * x, os.getpid()) for x in share]
 
 
-def scaled_and_pids(args, share):
-    return [(args * x, os.getpid()) for x in share]
+def scaled_and_pids(k, share):
+    return [(k * x, os.getpid()) for x in share]
 
 
-def args_share_and_pid(args, share):
-    return (args, list(share), os.getpid())
+def arg_share_and_pid(arg, share):
+    return (arg, list(share), os.getpid())
 
 
-def pid_of(args, share):
+def pid_of(share):
     return os.getpid()
 
 
-def fail_on_item_1(args, share):
+# the processes that ran fail_on_item_1 without failing
+PASSED_PIDS = []
+
+
+def fail_on_item_1(share):
     if 1 in share:
         raise NumericError(f"member 1 diverged in {os.getpid()}")
+    PASSED_PIDS.append(os.getpid())
     return list(share)
 
 
-def die_on_item_1(args, share):
+def die_on_item_1(share):
     if 1 in share:
         os._exit(1)
     return list(share)
 
 
-def blas_threads(args, share):
+def blas_threads(share):
     return _openblas_threads()[0]()
 
 
-def pid_and_inner_pids(args, share):
-    return (os.getpid(), parallel_map(pid_of, None, range(2)))
+def pid_and_inner_pids(share):
+    return (os.getpid(), parallel_map(pid_of, (), range(2)))
 
 
 # ---- worker count ----------------------------------------------------
@@ -134,7 +139,7 @@ def test_worker_count_is_one_where_usable_cores_are_unknown(monkeypatch):
 
 
 def test_parallel_map_keeps_share_order_and_stays_within_the_cap():
-    shares = parallel_map(squares_and_pids, None, range(7))
+    shares = parallel_map(squares_and_pids, (), range(7))
     assert len(shares) == min(CORES, 7)
     assert [v for share in shares for v, _ in share] == [x * x for x in range(7)]
     pids = flat_pids(shares)
@@ -148,16 +153,18 @@ def test_parallel_map_keeps_share_order_and_stays_within_the_cap():
 def test_parallel_map_runs_in_process_where_the_platform_cannot_fork(monkeypatch):
     use_workers(monkeypatch, 2)
     monkeypatch.delattr(os, "fork")
-    shares = parallel_map(squares_and_pids, None, range(4))
+    shares = parallel_map(squares_and_pids, (), range(4))
     assert len(shares) == 1 and flat_pids(shares) == {os.getpid()}
 
 
 def test_worker_exception_is_raised_with_its_class_and_message(monkeypatch):
     use_workers(monkeypatch, 2)
+    PASSED_PIDS.clear()
     with pytest.raises(NumericError, match="member 1 diverged in") as info:
-        parallel_map(fail_on_item_1, None, range(2))
+        parallel_map(fail_on_item_1, (), range(2))
     worker = int(str(info.value).rsplit(" ", 1)[1])
-    assert worker != os.getpid()
+    # the parent ran its own share, and only that, while the worker failed
+    assert PASSED_PIDS == [os.getpid()] and worker != os.getpid()
     # an error in a call kills and reaps every worker
     assert_reaped(worker)
     assert worker_pids() == []
@@ -165,12 +172,12 @@ def test_worker_exception_is_raised_with_its_class_and_message(monkeypatch):
 
 def test_worker_dying_without_a_result_is_a_worker_error(monkeypatch):
     use_workers(monkeypatch, 2)
-    assert parallel_map(die_on_item_1, None, range(1)) == [[0]]
+    assert parallel_map(die_on_item_1, (), range(1)) == [[0]]
     with pytest.raises(WorkerError, match="exited without a result"):
-        parallel_map(die_on_item_1, None, range(2))
+        parallel_map(die_on_item_1, (), range(2))
     assert_no_child_left()
     # the next group forks a fresh worker
-    assert parallel_map(die_on_item_1, None, [0, 2]) == [[0], [2]]
+    assert parallel_map(die_on_item_1, (), [0, 2]) == [[0], [2]]
 
 
 def test_workers_run_one_blas_thread_and_the_count_is_restored(monkeypatch):
@@ -180,20 +187,20 @@ def test_workers_run_one_blas_thread_and_the_count_is_restored(monkeypatch):
     use_workers(monkeypatch, 2)
     get_threads = blas[0]
     before = get_threads()
-    assert parallel_map(blas_threads, None, range(2)) == [1, 1]
+    assert parallel_map(blas_threads, (), range(2)) == [1, 1]
     assert get_threads() == before
 
 
 def test_groups_do_not_nest(monkeypatch):
     use_workers(monkeypatch, 2)
     forks = count_forks(monkeypatch)
-    outer = parallel_map(pid_and_inner_pids, None, range(2))
+    outer = parallel_map(pid_and_inner_pids, (), range(2))
     assert outer[0][0] == os.getpid() and outer[1][0] != os.getpid()
     # each process's inner call ran in that process alone
     assert [inner for _, inner in outer] == [[pid] for pid, _ in outer]
     assert forks == [1] and worker_pids() == [outer[1][0]]
     # the outer group has ended, so the next call runs on the same worker
-    assert parallel_map(pid_of, None, range(2)) == [pid for pid, _ in outer]
+    assert parallel_map(pid_of, (), range(2)) == [pid for pid, _ in outer]
 
 
 # ---- workers forked once per process ---------------------------------------
@@ -203,7 +210,7 @@ def test_a_group_forks_once_and_serves_every_call(monkeypatch):
     use_workers(monkeypatch, 2)
     forks = count_forks(monkeypatch)
     with Workers(scaled_and_pids, 5) as w:
-        calls = [w.map(k, range(5)) for k in (1, 10, 100)]
+        calls = [w.map((k,), range(5)) for k in (1, 10, 100)]
     assert forks == [1]
     for k, shares in zip((1, 10, 100), calls):
         assert [v for share in shares for v, _ in share] == [k * x for x in range(5)]
@@ -213,9 +220,9 @@ def test_a_group_forks_once_and_serves_every_call(monkeypatch):
 def test_later_groups_runs_and_sweeps_fork_nothing(tmp_path, monkeypatch):
     use_workers(monkeypatch, 2)
     forks = count_forks(monkeypatch)
-    first = parallel_map(pid_of, None, range(2))
+    first = parallel_map(pid_of, (), range(2))
     assert forks == [1]
-    assert parallel_map(pid_of, None, range(2)) == first
+    assert parallel_map(pid_of, (), range(2)) == first
     for run in ("a", "b"):
         ua.run_train(tiny_run_config(tmp_path / run, strategy="snapshot", batch_size=16))
     ua.sweep_ensemble(tiny_run_config(tmp_path / "sweep", train_steps=2), max_size=2)
@@ -224,10 +231,10 @@ def test_later_groups_runs_and_sweeps_fork_nothing(tmp_path, monkeypatch):
 
 def test_a_worker_killed_between_groups_is_replaced(monkeypatch):
     use_workers(monkeypatch, 2)
-    [_, killed] = parallel_map(pid_of, None, range(2))
+    [_, killed] = parallel_map(pid_of, (), range(2))
     os.kill(killed, signal.SIGKILL)
     wait_until_exited(killed)
-    [parent, replacement] = parallel_map(pid_of, None, range(2))
+    [parent, replacement] = parallel_map(pid_of, (), range(2))
     assert parent == os.getpid() and replacement not in (parent, killed)
     assert_reaped(killed)
     assert worker_pids() == [replacement]
@@ -235,7 +242,7 @@ def test_a_worker_killed_between_groups_is_replaced(monkeypatch):
 
 def test_a_worker_exits_at_end_of_input(monkeypatch):
     use_workers(monkeypatch, 2)
-    [_, worker] = parallel_map(pid_of, None, range(2))
+    [_, worker] = parallel_map(pid_of, (), range(2))
     # close this process's ends of the worker's pipes, without reaping it
     parallel._forget_all()
     wait_until_exited(worker)
@@ -243,15 +250,20 @@ def test_a_worker_exits_at_end_of_input(monkeypatch):
 
 
 WORKER_SCRIPT = """
-import os, signal, sys
+import os, signal, sys, time
 sys.path.insert(0, sys.argv[1])
 from uaperceiver import parallel
 parallel.worker_count = lambda items: max(1, min(2, items))
-def pid_of(args, share):
+def pid_of(share):
     return os.getpid()
-print(parallel.parallel_map(pid_of, None, range(2))[1], flush=True)
+def die_while_the_worker_sleeps(share):
+    if 0 in share:  # the parent's share
+        time.sleep(0.5)
+        os.kill(os.getpid(), signal.SIGKILL)
+    time.sleep(60)
+print(parallel.parallel_map(pid_of, (), range(2))[1], flush=True)
 if sys.argv[2] == "killed":
-    os.kill(os.getpid(), signal.SIGKILL)
+    parallel.parallel_map(die_while_the_worker_sleeps, (), range(2))
 """
 
 
@@ -270,30 +282,49 @@ def test_workers_end_with_their_interpreter(end):
         # reaped by the interpreter's exit hook before it ended
         assert_reaped(worker)
     else:
-        # killed by the kernel once its parent died
+        # killed by the kernel once its parent died, in the middle of a
+        # 60 s share: a worker that only noticed its closed pipes would
+        # still be asleep
         wait_until_exited(worker)
+
+
+def test_a_request_a_worker_cannot_unpickle_raises_the_real_error(monkeypatch):
+    use_workers(monkeypatch, 2)
+    [_, worker] = parallel_map(pid_of, (), range(2))
+
+    def late(share):
+        return list(share)
+
+    # a module-level function the worker's copy of this module lacks
+    late.__qualname__ = "late"
+    monkeypatch.setattr(sys.modules[__name__], "late", late, raising=False)
+    with pytest.raises(AttributeError, match="late"):
+        parallel_map(late, (), range(2))
+    assert_reaped(worker)
+    assert worker_pids() == []
+    assert parallel_map(late, (), range(2)) == [[0], [1]]
 
 
 def test_a_process_forked_by_other_means_leaves_the_workers_alone(monkeypatch):
     use_workers(monkeypatch, 2)
-    [_, worker] = parallel_map(pid_of, None, range(2))
+    [_, worker] = parallel_map(pid_of, (), range(2))
     child = os.fork()
     if child == 0:
         try:
             inherited = worker_pids()
-            own = parallel_map(pid_of, None, range(2))[1]
+            own = parallel_map(pid_of, (), range(2))[1]
             parallel.close_workers()
             os._exit(0 if inherited == [] and own != worker else 1)
         finally:
             os._exit(2)
     assert os.waitpid(child, 0)[1] == 0
-    assert parallel_map(pid_of, None, range(2))[1] == worker
+    assert parallel_map(pid_of, (), range(2))[1] == worker
 
 
 def test_a_group_runs_in_process_with_one_worker(monkeypatch):
     use_workers(monkeypatch, 1)
-    with Workers(args_share_and_pid, 4) as w:
-        assert w.map("a", range(4)) == [("a", [0, 1, 2, 3], os.getpid())]
+    with Workers(arg_share_and_pid, 4) as w:
+        assert w.map(("a",), range(4)) == [("a", [0, 1, 2, 3], os.getpid())]
 
 
 def test_training_chunks_stop_page_faulting():
@@ -408,20 +439,25 @@ def test_score_counts_of_a_two_worker_evaluation_equal_sequential(tmp_path, monk
 # ---- the CLI -----------------------------------------------------------
 
 
+# set by fail_in_child_chunks; a worker counts its calls in its own copy
+CHUNK_FAILURE = {}
+
+
+def failing_chunk_gradients(*args):
+    """``chunk_gradients``; a worker's second call first runs the failure."""
+    if os.getpid() != CHUNK_FAILURE["parent"]:
+        CHUNK_FAILURE["seen"] += 1
+        if CHUNK_FAILURE["seen"] == 2:
+            CHUNK_FAILURE["failure"]()
+    return CHUNK_FAILURE["chunk_gradients"](*args)
+
+
 def fail_in_child_chunks(monkeypatch, failure):
     """Make the second batch a training worker computes call ``failure``."""
-    parent = os.getpid()
-    chunk_gradients = strategies.chunk_gradients
-    seen = []
-
-    def failing(*args):
-        if os.getpid() != parent:
-            seen.append(1)
-            if len(seen) == 2:
-                failure()
-        return chunk_gradients(*args)
-
-    monkeypatch.setattr(strategies, "chunk_gradients", failing)
+    for key, value in (("parent", os.getpid()), ("failure", failure),
+                       ("chunk_gradients", strategies.chunk_gradients), ("seen", 0)):
+        monkeypatch.setitem(CHUNK_FAILURE, key, value)
+    monkeypatch.setattr(strategies, "chunk_gradients", failing_chunk_gradients)
 
 
 def test_cli_error_in_a_training_chunk_exits_2_with_one_line(
