@@ -28,10 +28,10 @@ LN_EPS = 1e-5
 
 # images per graph: forward_logits runs one forward per chunk, a
 # training step one forward + backward per chunk of its batch
-# (strategies.chunk_gradients), and MC dropout one latent side per chunk
-# of samples (strategies.mc_predict). Larger chunks raise peak memory,
-# and a training graph of more images runs slower once it outgrows the
-# cache.
+# (strategies.chunk_gradients), and MC dropout one byte side per chunk
+# of test images (strategies._mc_probabilities). Larger chunks raise
+# peak memory, and a training graph of more images runs slower once it
+# outgrows the cache.
 FORWARD_CHUNK = 8
 
 # std of a unit normal truncated at +/-2; draws are rescaled by this so

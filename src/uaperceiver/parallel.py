@@ -40,9 +40,13 @@ Groups do not nest: one opened inside a worker, or in the parent while
 its own group has workers, runs in-process, so no more processes run
 than there are cores.
 
-Entering a group, in-process or not, first sets glibc's allocator policy
-(README, Workers): freed heap memory up to 64 MiB stays in the process.
-It changes no arithmetic and cannot be undone (glibc has no getter).
+Importing the package sets glibc's allocator policy (README, Workers):
+freed heap memory up to 64 MiB stays in the process, so every engine
+caller, in a group or not, reuses its pages instead of faulting them in
+again, and workers inherit the policy at their fork. The price is a side
+effect of the import on the host process: glibc's thresholds are set
+for all of it and cannot be read back or restored, since glibc has no
+getter. The policy changes no arithmetic.
 """
 
 from __future__ import annotations
@@ -76,14 +80,16 @@ def worker_count(items: int) -> int:
     return max(1, min(cores, items))
 
 
-@functools.cache
 def _keep_freed_memory() -> None:
-    """Set the allocator policy above, once per process, where libc has it."""
+    """Set the allocator policy above, where libc has it."""
     mallopt = getattr(ctypes.pythonapi, "mallopt", None)  # libc's, on POSIX
     if mallopt is not None:
         mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
         mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD: arrays up to 32 MiB from the heap
         mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD: keep up to 64 MiB freed
+
+
+_keep_freed_memory()  # once, when the package is imported
 
 
 @functools.cache
@@ -266,7 +272,6 @@ class Workers:
         self._token = None
 
     def __enter__(self) -> "Workers":
-        _keep_freed_memory()
         workers = 1 if _in_group.get() else worker_count(self.n_items)
         if workers > 1 and hasattr(os, "fork"):
             self._blas = _openblas_threads()

@@ -83,9 +83,10 @@ class Predictor:
         depend on the slice it is in:
         forwards are batch-invariant and MC image i draws its masks from
         ``derive_seed(mc_seed, i)`` by its index in ``images``. An MC
-        member runs the byte side once per image and the latent side once
-        per FORWARD_CHUNK of its ``mc_samples`` samples (``mc_predict``),
-        bit-equal to forwarding every masked copy."""
+        member runs the byte side once per FORWARD_CHUNK images, plus one
+        zero image, and the latent side in passes of ``_latent_pass_rows``
+        masked samples (``_mc_probabilities``), bit-equal to forwarding
+        every masked copy."""
         images = np.asarray(images, dtype=np.float64)
         if images.ndim == 3:
             images = images[None]
@@ -126,11 +127,10 @@ def _slice_probabilities(predictor: Predictor, rows: _Rows) -> list[np.ndarray]:
     member_probs = []
     for j, store in enumerate(predictor.members):
         if predictor.mc_samples:
-            probs = np.empty((len(rows), predictor.config.num_classes))
-            for row, image in enumerate(rows.images):
-                probs[row] = mc_predict(predictor.config, store, image,
-                                        predictor.mc_delta, predictor.mc_samples,
-                                        derive_seed(predictor.mc_seed, rows.start + row))
+            seeds = [derive_seed(predictor.mc_seed, rows.start + row)
+                     for row in range(len(rows))]
+            probs = _mc_probabilities(predictor.config, store, rows.images,
+                                      predictor.mc_delta, predictor.mc_samples, seeds)
         else:
             logits = forward_logits(predictor.config, store, rows.images)
             if predictor.temperatures is not None:
@@ -399,39 +399,68 @@ def _kept_pixels(shape, delta: float, rng: np.random.Generator) -> np.ndarray:
 def mc_predict(config: PerceiverConfig, params: ParamStore, image,
                delta: float, num_samples: int, seed: int) -> np.ndarray:
     """Mean softmax over ``num_samples`` freshly masked forwards, sample
-    i masked by ``mc_dropout_mask`` with ``generator(seed, i)``.
-
-    A dropped pixel is a zero pixel, and the byte side works pixel row
-    by pixel row (``byte_kv``), so each sample's K/V row at a pixel is
-    either the image's row or the all-zero image's row. The byte side
-    therefore runs once, on ``[image, zeros]``; each chunk of
-    FORWARD_CHUNK samples gathers its K/V rows from those two and runs
-    only the latent side. The rows, and so the logits, bit-equal those
-    of forwards of the masked images."""
+    i masked by ``mc_dropout_mask`` with ``generator(seed, i)``: the
+    one-image case of ``_mc_probabilities``, so the byte side runs once,
+    on the image and the zero image."""
     if num_samples < 1:
         raise UsageError(f"num_samples must be >= 1, got {num_samples}")
     image = np.asarray(image, dtype=np.float64)
     if image.ndim != 3:
         raise DimensionError(f"mc_predict takes one H x W x C image, got {image.shape}")
+    return _mc_probabilities(config, params, image[None], delta, num_samples, [seed])[0]
+
+
+def _latent_pass_rows(config: PerceiverConfig) -> int:
+    """Masked samples per MC latent pass: as many as keep a pass's cross
+    score array near 1 MiB (2**17 entries), and at least FORWARD_CHUNK.
+    Fewer, larger passes pay less per-op overhead on small models; on
+    larger ones the score array outgrows the cache first."""
+    scores_per_row = config.heads * config.latent_count * config.num_bytes
+    return max(FORWARD_CHUNK, 2**17 // scores_per_row)
+
+
+def _mc_probabilities(config: PerceiverConfig, params: ParamStore, images,
+                      delta: float, num_samples: int, seeds) -> np.ndarray:
+    """Each image's mean softmax over ``num_samples`` masked forwards,
+    image j's sample i masked by ``mc_dropout_mask`` with
+    ``generator(seeds[j], i)``.
+
+    A dropped pixel is a zero pixel, and the byte side works pixel row
+    by pixel row (``byte_kv``), so each sample's K/V row at a pixel is
+    either its image's row or the all-zero image's row. Each group of
+    FORWARD_CHUNK images therefore runs the byte side once, on its
+    images and one zero image, and the latent side on K/V rows gathered
+    from those, in passes of ``_latent_pass_rows`` samples taken in
+    (image, sample) order across image boundaries. The rows, and so the
+    logits, bit-equal those of forwards of the masked images."""
     if delta == 0.0:
         # every sample is the unmasked forward; return it bit-exactly
         # rather than averaging identical values
-        return softmax_rows(forward_logits(config, params, image))[0]
-    dropped = ~np.stack([_kept_pixels(image.shape[:-1], delta, generator(seed, i))
-                         for i in range(num_samples)]).reshape(num_samples, -1)
-    kv = byte_kv(config, params, np.stack([image, np.zeros_like(image)]))
-    # with K and V seen as 2M rows (image, then zeros), each sample's row
-    # at pixel p is row p where the pixel is kept and M + p where dropped
-    m = dropped.shape[1]
-    rows = np.where(dropped, m, 0) + np.arange(m)
-    flat = {group: [t.data.reshape(2 * m, -1) for t in pair] for group, pair in kv.items()}
-    logits = np.empty((num_samples, config.num_classes))
-    for i in range(0, num_samples, FORWARD_CHUNK):
-        picked = rows[i : i + FORWARD_CHUNK]
-        # gathered inline, so one chunk's K/V is freed before the next
-        logits[i : i + FORWARD_CHUNK] = latent_logits(config, params, {
-            group: [view_leaf(a.take(picked, axis=0), False) for a in pair]
-            for group, pair in flat.items()}).data
-    probs = softmax_rows(logits)
-    # axis-0 sums add the rows in sample order
-    return probs.sum(axis=0) / num_samples
+        return softmax_rows(forward_logits(config, params, images))
+    n, m = num_samples, config.num_bytes
+    pass_rows = _latent_pass_rows(config)
+    probs = np.empty((len(images), config.num_classes))
+    for start in range(0, len(images), FORWARD_CHUNK):
+        group = images[start : start + FORWARD_CHUNK]
+        g = len(group)
+        dropped = ~np.stack([_kept_pixels(group.shape[1:-1], delta, generator(seed, i))
+                             for seed in seeds[start : start + g]
+                             for i in range(n)]).reshape(g * n, m)
+        kv = byte_kv(config, params, np.concatenate([group, np.zeros_like(group[:1])]))
+        # with K and V seen as (g + 1)M rows (the images, then zeros),
+        # image j's samples take row jM + p at a kept pixel p and gM + p
+        # at a dropped one
+        owner = np.repeat(np.arange(g) * m, n)[:, None]
+        rows = np.where(dropped, g * m, owner) + np.arange(m)
+        flat = {grp: [t.data.reshape((g + 1) * m, -1) for t in pair]
+                for grp, pair in kv.items()}
+        logits = np.empty((g * n, config.num_classes))
+        for i in range(0, g * n, pass_rows):
+            picked = rows[i : i + pass_rows]
+            # gathered inline, so one pass's K/V is freed before the next
+            logits[i : i + pass_rows] = latent_logits(config, params, {
+                grp: [view_leaf(a.take(picked, axis=0), False) for a in pair]
+                for grp, pair in flat.items()}).data
+        # axis-1 sums add each image's rows in sample order
+        probs[start : start + g] = softmax_rows(logits).reshape(g, n, -1).sum(axis=1) / n
+    return probs

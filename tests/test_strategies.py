@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import uaperceiver as ua
-from uaperceiver import model
+from uaperceiver import model, strategies
 from uaperceiver.data import channel_stats, standardize
 from uaperceiver.errors import DimensionError, RangeError, UsageError
 from uaperceiver.model import (FORWARD_CHUNK, batch_loss, forward_logits, init_params,
@@ -301,10 +301,13 @@ def test_mc_predict_replay_oracle(tiny_config):
     np.testing.assert_array_equal(probs, acc / n)
 
 
+MC_ORACLE_CONFIGS = pytest.mark.parametrize(
+    "config", [CRITERION7, LEARNABLE_UNSHARED_R3], ids=["criterion7", "learnable-unshared-r3"])
+
+
 @pytest.mark.parametrize("n, delta", [(n, delta) for n in (1, 8, 13) for delta in (0.25, 1.0)]
                          + [(30, 0.1)])
-@pytest.mark.parametrize("config", [CRITERION7, LEARNABLE_UNSHARED_R3],
-                         ids=["criterion7", "learnable-unshared-r3"])
+@MC_ORACLE_CONFIGS
 def test_mc_predict_replay_oracle_standardized(config, n, delta):
     """Bit-equal to the explicitly masked forwards for both position
     encodings, unshared cross weights, one chunk, a full chunk and a
@@ -331,6 +334,94 @@ def test_mc_predict_replay_oracle_standardized(config, n, delta):
         acc += softmax_rows(forward_logits(config, params, masked))[0]
     assert signed_zero
     np.testing.assert_array_equal(probs, acc / n)
+
+
+def standardized_images(config, count):
+    ds = ua.synth_dataset(3, count, resolution=config.height, num_classes=3,
+                          channels=config.channels)
+    return standardize(ds, channel_stats(ds)).images
+
+
+@pytest.mark.parametrize("delta", [0.25, 1.0])
+@pytest.mark.parametrize("n", [1, 13, 30])
+@MC_ORACLE_CONFIGS
+def test_mc_predictor_replay_oracle_across_groups(config, n, delta):
+    """An MC predictor's rows over three groups of test images (two full,
+    one short) bit-equal the explicitly masked forwards, image i's sample
+    s masked with ``generator(derive_seed(mc_seed, i), s)``: latent passes
+    that cross image and group boundaries change no row. Cross score
+    entries count every sample's forward."""
+    images = standardized_images(config, 2 * FORWARD_CHUNK + 3)
+    assert (images < 0).any()
+    params = init_params(config, 10).detached()
+    mc_seed = 55
+    predictor = ua.Predictor("mc_dropout", config, [params], mc_delta=delta,
+                             mc_samples=n, mc_seed=mc_seed)
+    before = score_counter.cross
+    [probs] = predictor.member_probabilities(images)
+    assert score_counter.cross - before == (
+        len(images) * n * config.depth_repeats * config.heads * config.latent_count
+        * config.num_bytes)
+    masked = np.stack([ua.mc_dropout_mask(image, delta, generator(derive_seed(mc_seed, i), s))
+                       for i, image in enumerate(images) for s in range(n)])
+    assert np.any((masked == 0) & np.signbit(masked))
+    # forward_logits rows do not depend on their batch, so one batched
+    # call replays every masked forward
+    replay = softmax_rows(forward_logits(config, params, masked)).reshape(len(images), n, -1)
+    acc = np.zeros_like(probs)
+    for s in range(n):
+        acc += replay[:, s]
+    np.testing.assert_array_equal(probs, acc / n)
+
+
+def test_mc_rows_do_not_depend_on_the_slice():
+    """Every contiguous slice of the test images, as a worker is sent,
+    gives the rows of the whole call: a group starts at the slice, but an
+    image's masks come from its index in the whole batch."""
+    images = standardized_images(CRITERION7, 2 * FORWARD_CHUNK + 3)
+    predictor = ua.Predictor("mc_dropout", CRITERION7, [init_params(CRITERION7, 10).detached()],
+                             mc_delta=0.25, mc_samples=3, mc_seed=55)
+    rows = strategies._Rows(images)
+    [whole] = strategies._slice_probabilities(predictor, rows)
+    for a in range(len(images)):
+        for b in range(a + 1, len(images) + 1):
+            [part] = strategies._slice_probabilities(predictor, rows[a:b])
+            np.testing.assert_array_equal(part, whole[a:b])
+
+
+@pytest.mark.parametrize("config, pass_rows", [
+    (CRITERION7, 32),
+    (ua.PerceiverConfig(), 8),
+    (ua.PerceiverConfig(height=32, width=32), 8),
+], ids=["criterion7", "default-16", "default-32"])
+def test_mc_memory_is_bounded_by_the_group(monkeypatch, config, pass_rows):
+    """An MC slice of three groups runs the byte side once per group of
+    FORWARD_CHUNK images plus the zero image, and no latent pass holds
+    more than ``_latent_pass_rows`` samples, whatever the slice length."""
+    byte_side, passes = [], []
+    build, latent = model.build_byte_array, strategies.latent_logits
+
+    def counting_build(images, *args):
+        byte_side.append(len(images))
+        return build(images, *args)
+
+    def counting_latent(config, params, kv):
+        passes.append(len(next(iter(kv.values()))[0].data))
+        return latent(config, params, kv)
+
+    monkeypatch.setattr(model, "build_byte_array", counting_build)
+    monkeypatch.setattr(strategies, "latent_logits", counting_latent)
+    n_images, n = 3 * FORWARD_CHUNK - 1, 3
+    images = np.random.default_rng(4).random((n_images, config.height, config.width,
+                                              config.channels))
+    predictor = ua.Predictor("mc_dropout", config, [init_params(config, 2).detached()],
+                             mc_delta=0.2, mc_samples=n)
+    strategies._slice_probabilities(predictor, strategies._Rows(images))
+    assert strategies._latent_pass_rows(config) == pass_rows
+    assert len(byte_side) == -(-n_images // FORWARD_CHUNK)
+    assert max(byte_side) <= FORWARD_CHUNK + 1
+    assert max(passes) <= pass_rows
+    assert sum(passes) == n_images * n
 
 
 @pytest.mark.parametrize("n", [1, 13, 30])
