@@ -32,7 +32,7 @@ from .model import (FORWARD_CHUNK, PerceiverConfig, batch_loss, byte_kv,
 from .optim import AdamWSettings, AdamWState, adamw_step
 from .parallel import Workers, parallel_map
 from .params import ParamStore, swa_update
-from .rng import derive_seed, generator
+from .rng import derive_seed, derive_seeds, first_uniforms, generator
 from .schedules import LRSchedule, capture_steps, lr_at
 from .tensor import view_leaf
 
@@ -386,22 +386,23 @@ def mc_dropout_mask(image: np.ndarray, delta: float,
     image = np.asarray(image, dtype=np.float64)
     if delta == 0.0:
         return image.copy()
-    return image * _kept_pixels(image.shape[:-1], delta, rng)[..., None]
+    return image * _kept_pixels(rng.random(size=image.shape[:-1]), delta)[..., None]
 
 
-def _kept_pixels(shape, delta: float, rng: np.random.Generator) -> np.ndarray:
-    """Boolean mask of ``shape``: each pixel kept with probability 1 - delta."""
+def _kept_pixels(uniforms: np.ndarray, delta: float, out=None) -> np.ndarray:
+    """Which pixels a mask keeps, from one uniform draw per pixel: each
+    kept with probability 1 - delta."""
     if not (0.0 <= delta <= 1.0):
         raise RangeError(f"delta must lie in [0, 1], got {delta}")
-    return rng.random(size=shape) >= delta
+    return np.greater_equal(uniforms, delta, out=out)
 
 
 def mc_predict(config: PerceiverConfig, params: ParamStore, image,
                delta: float, num_samples: int, seed: int) -> np.ndarray:
     """Mean softmax over ``num_samples`` freshly masked forwards, sample
-    i masked by ``mc_dropout_mask`` with ``generator(seed, i)``: the
-    one-image case of ``_mc_probabilities``, so the byte side runs once,
-    on the image and the zero image."""
+    i masked as ``mc_dropout_mask`` masks with ``generator(seed, i)``:
+    the one-image case of ``_mc_probabilities``, so the byte side runs
+    once, on the image and the zero image, and no Generator is built."""
     if num_samples < 1:
         raise UsageError(f"num_samples must be >= 1, got {num_samples}")
     image = np.asarray(image, dtype=np.float64)
@@ -422,8 +423,9 @@ def _latent_pass_rows(config: PerceiverConfig) -> int:
 def _mc_probabilities(config: PerceiverConfig, params: ParamStore, images,
                       delta: float, num_samples: int, seeds) -> np.ndarray:
     """Each image's mean softmax over ``num_samples`` masked forwards,
-    image j's sample i masked by ``mc_dropout_mask`` with
-    ``generator(seeds[j], i)``.
+    image j's sample i masked as ``mc_dropout_mask`` masks with
+    ``generator(seeds[j], i)``, whose first draws ``rng.first_uniforms``
+    replicates with no Generator per sample.
 
     A dropped pixel is a zero pixel, and the byte side works pixel row
     by pixel row (``byte_kv``), so each sample's K/V row at a pixel is
@@ -443,15 +445,19 @@ def _mc_probabilities(config: PerceiverConfig, params: ParamStore, images,
     for start in range(0, len(images), FORWARD_CHUNK):
         group = images[start : start + FORWARD_CHUNK]
         g = len(group)
-        dropped = ~np.stack([_kept_pixels(group.shape[1:-1], delta, generator(seed, i))
-                             for seed in seeds[start : start + g]
-                             for i in range(n)]).reshape(g * n, m)
+        # both arrays are sized before any draw, so numpy refuses a
+        # num_samples too large to hold at once
+        sample_seeds = derive_seeds(seeds[start : start + g], n).ravel()
+        kept = np.empty((g * n, m), dtype=bool)
+        # a stream's H x W draw fills its M pixels in row-major order
+        for row, uniforms in zip(kept, first_uniforms(sample_seeds, m)):
+            _kept_pixels(uniforms, delta, out=row)
         kv = byte_kv(config, params, np.concatenate([group, np.zeros_like(group[:1])]))
         # with K and V seen as (g + 1)M rows (the images, then zeros),
         # image j's samples take row jM + p at a kept pixel p and gM + p
         # at a dropped one
         owner = np.repeat(np.arange(g) * m, n)[:, None]
-        rows = np.where(dropped, g * m, owner) + np.arange(m)
+        rows = np.where(kept, owner, g * m) + np.arange(m)
         flat = {grp: [t.data.reshape((g + 1) * m, -1) for t in pair]
                 for grp, pair in kv.items()}
         logits = np.empty((g * n, config.num_classes))

@@ -878,6 +878,21 @@ def test_cli_train_that_cannot_allocate_is_one_line(tmp_path, capsys, setting):
     assert not out.exists()
 
 
+def test_cli_evaluate_mc_samples_that_cannot_allocate_is_one_line(tmp_path, capfd):
+    """An MC run whose predictor.json asks for 10**15 samples per image:
+    the first group's sample seeds alone (8 PB) exceed the 47-bit address
+    space, so numpy refuses them before any mask is drawn, and evaluate
+    exits 2 with one ``resource error`` line, in no process a traceback."""
+    ua.run_train(tiny_run_config(tmp_path, strategy="mc"))
+    path = tmp_path / "predictor.json"
+    path.write_text(json.dumps({**json.loads(path.read_text()), "mc_samples": 10**15}))
+    capfd.readouterr()
+    assert main(["evaluate", "--run-dir", str(tmp_path)]) == 2
+    out, err = capfd.readouterr()
+    assert err.startswith("resource error: ") and err.count("\n") == 1, err
+    assert not out
+
+
 @pytest.fixture(scope="module")
 def fuzz_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")

@@ -301,8 +301,13 @@ def test_mc_predict_replay_oracle(tiny_config):
     np.testing.assert_array_equal(probs, acc / n)
 
 
+# 6 x 10 images check the (H, W) order of each mask draw
+NON_SQUARE = ua.PerceiverConfig(height=6, width=10, latent_count=4, latent_dim=16,
+                                byte_dim=16, num_bands=2, depth_repeats=1,
+                                tower_layers=1, heads=2)
 MC_ORACLE_CONFIGS = pytest.mark.parametrize(
-    "config", [CRITERION7, LEARNABLE_UNSHARED_R3], ids=["criterion7", "learnable-unshared-r3"])
+    "config", [CRITERION7, LEARNABLE_UNSHARED_R3, NON_SQUARE],
+    ids=["criterion7", "learnable-unshared-r3", "non-square-6x10"])
 
 
 @pytest.mark.parametrize("n, delta", [(n, delta) for n in (1, 8, 13) for delta in (0.25, 1.0)]
@@ -315,9 +320,7 @@ def test_mc_predict_replay_oracle_standardized(config, n, delta):
     is -0.0 in the masked image. Cross score entries count every
     sample's forward. n = 30 at delta = 0.1 is the bench's mc-eval
     setting: three full chunks and a short one."""
-    ds = ua.synth_dataset(3, 4, resolution=config.height, num_classes=3,
-                          channels=config.channels)
-    image = standardize(ds, channel_stats(ds)).images[0]
+    image = standardized_images(config, 4)[0]
     assert (image < 0).any()
     params = init_params(config, 10).detached()
     seed = 55
@@ -337,9 +340,11 @@ def test_mc_predict_replay_oracle_standardized(config, n, delta):
 
 
 def standardized_images(config, count):
-    ds = ua.synth_dataset(3, count, resolution=config.height, num_classes=3,
-                          channels=config.channels)
-    return standardize(ds, channel_stats(ds)).images
+    """``count`` standardized synthetic images of the config's shape: square
+    ones of the larger side, cropped to H x W."""
+    ds = ua.synth_dataset(3, count, resolution=max(config.height, config.width),
+                          num_classes=3, channels=config.channels)
+    return standardize(ds, channel_stats(ds)).images[:, :config.height, :config.width]
 
 
 @pytest.mark.parametrize("delta", [0.25, 1.0])
