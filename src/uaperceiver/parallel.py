@@ -1,48 +1,46 @@
 """Independent work on every usable core.
 
-Worker processes are forked once per process: the first group that
-needs more than one process forks them, and every later group reuses
-them. So after the first group no training run, evaluation, set-up or
-sweep pays for a fork, nor for the copy-on-write faults on every heap
-page written after one. ``Workers`` is a scoped group: each ``map``
-splits its items into one contiguous share per process, the parent runs
-the first share itself and each worker one further share, and the
-results come back in share order. A worker exists before the call it
-serves, so it inherits none of the call's state: each call sends a
-module-level function (pickled by reference, as its import path), its
-arguments and the shares, and only each result travels back. A share is
-a slice of the items, so data passed as items, not as an argument,
-reaches each worker as its own slice only.
-``parallel_map`` is a group of one call. The package starts no threads
-of its own; OpenBLAS stops its thread pool before a fork and starts it
-again on its next call.
+``parallel_map`` splits its items into one contiguous share per process;
+the parent runs the first share itself and each worker one further
+share, and the results come back in share order. Worker processes are
+forked once per process: the first call that needs more than one
+process forks them, and every later call reuses them. So after the
+first call no training step, evaluation, set-up or sweep pays for a
+fork, nor for the copy-on-write faults on every heap page written after
+one. A worker exists before the call it serves, so it inherits none of
+the call's state: each call sends a module-level function (pickled by
+reference, as its import path), its arguments and the shares, and only
+each result travels back. A share is a slice of the items, so data
+passed as items, not as an argument, reaches each worker as its own
+slice only. The package starts no threads of its own; OpenBLAS stops
+its thread pool before a fork and starts it again on its next call.
 
-Between groups an idle worker waits for its next request and keeps its
+Between calls an idle worker waits for its next request and keeps its
 heap, up to the 64 MiB trim threshold below. Workers end with their
 interpreter: an ``atexit`` hook closes their request pipes and reaps
 them (``close_workers``), and a worker exits at end of input. On Linux
 the kernel also kills a worker whose parent dies (``PR_SET_PDEATHSIG``;
 strictly, when the thread that forked it exits). A process forked by
 other means forgets the workers it inherited: it neither uses nor reaps
-them. An error in a ``map`` that has workers kills and reaps every
-worker, and the next group forks fresh ones; it also replaces a worker
-that died between groups. Measured in ``BENCH_20.json`` (README,
-Workers): a snapshot-wide set-up went from 15.7k minor faults in the
-parent and 14.1k in its worker to 4-6 in each, and from 0.222 to 0.164 s.
+them. An error in a call that has workers kills and reaps every worker,
+and the next call forks fresh ones; it also replaces a worker that died
+between calls. Measured in ``BENCH_20.json`` (README, Workers): a
+snapshot-wide set-up went from 15.7k minor faults in the parent and
+14.1k in its worker to 4-6 in each, and from 0.222 to 0.164 s.
 
 The worker count is not an option: it is every core this process may
 run on (``os.sched_getaffinity``; ``taskset`` lowers it), capped at the
 number of items. Results do not depend on it: every item runs the same
-code on the same inputs, in-process or in a worker. While a group has
+code on the same inputs, in-process or in a worker. While a call has
 workers, every process uses one BLAS thread, since two processes at two
 BLAS threads each on two cores run slower than one process alone.
-Groups do not nest: one opened inside a worker, or in the parent while
-its own group has workers, runs in-process, so no more processes run
-than there are cores.
+Calls do not nest: one made inside a worker, or in the parent while its
+own call has workers, runs in-process, so no more processes run than
+there are cores.
 
 Importing the package sets glibc's allocator policy (README, Workers):
 freed heap memory up to 64 MiB stays in the process, so every engine
-caller, in a group or not, reuses its pages instead of faulting them in
+caller, in a worker or not, reuses its pages instead of faulting them in
 again, and workers inherit the policy at their fork. The price is a side
 effect of the import on the host process: glibc's thresholds are set
 for all of it and cannot be read back or restored, since glibc has no
@@ -66,7 +64,7 @@ from pathlib import Path
 from .errors import WorkerError
 from .model import score_counter
 
-# True in a worker process, and in the parent while its group has workers
+# True in a worker process, and in the parent while its call has workers
 _in_group = contextvars.ContextVar("uaperceiver_in_group", default=False)
 
 # This process's workers, as (pid, request pipe, reply pipe), oldest first
@@ -224,7 +222,7 @@ def _forget_all() -> None:
 def close_workers() -> None:
     """End this process's workers: close their request pipes, so each
     exits at end of input, and reap them. Runs at interpreter exit; the
-    next group forks fresh workers."""
+    next call forks fresh workers."""
     pids = [pid for pid, _, _ in _workers]
     _forget_all()
     for pid in pids:
@@ -245,104 +243,61 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_all)
 
 
-class Workers:
-    """``with Workers(fn, n_items) as w: w.map(args, items)``.
-
-    ``fn`` is a module-level function. Entering makes
-    ``worker_count(n_items) - 1`` of this process's workers ready, forking
-    only those that do not exist yet. ``map`` returns
-    ``[fn(*args, share) for share in shares]``: ``args`` a tuple, and
-    ``items`` (any sequence that slices, such as a list or a range)
-    sliced into one contiguous share per process. The parent runs
-    the first share; ``fn``, ``args`` and one more share are pickled to
-    each worker, which sends its result back. An exception raised by
-    ``fn`` in a worker is raised again here, with its class and message;
-    a worker that dies is a ``WorkerError``. An error in a ``map`` with
-    workers kills and reaps every worker, and later calls of the group
-    run in-process. Leaving the group ends no worker. Runs in-process
-    when one process suffices, the platform cannot fork, the BLAS thread
-    count cannot be pinned, or another group is active in this process."""
-
-    def __init__(self, fn, n_items: int):
-        self.fn = fn
-        self.n_items = n_items
-        self._children: list[tuple[int, object, object]] = []
-        self._blas = None
-        self._saved_threads = None
-        self._token = None
-
-    def __enter__(self) -> "Workers":
-        workers = 1 if _in_group.get() else worker_count(self.n_items)
-        if workers > 1 and hasattr(os, "fork"):
-            self._blas = _openblas_threads()
-        if self._blas is None:
-            return self
-        get_threads, set_threads = self._blas
-        self._saved_threads = get_threads()
-        set_threads(1)  # before any fork, so every worker runs one thread
-        try:
-            self._children = _ready_workers(workers - 1)
-        except BaseException:
-            self._close()
-            raise
-        self._token = _in_group.set(True)
-        return self
-
-    def map(self, args, items) -> list:
-        processes = len(self._children) + 1
-        bounds = [len(items) * k // processes for k in range(processes + 1)]
-        shares = [items[a:b] for a, b in zip(bounds, bounds[1:])]
-        try:
-            for (pid, requests, _), share in zip(self._children, shares[1:]):
-                try:
-                    pickle.dump((self.fn, args, share), requests, pickle.HIGHEST_PROTOCOL)
-                    requests.flush()
-                except OSError:
-                    raise WorkerError(f"worker process {pid} is gone") from None
-            results = [self.fn(*args, shares[0])]
-            for pid, _, replies in self._children:
-                results.append(self._receive(pid, replies))
-            return results
-        except BaseException:
-            if self._children:  # their replies are unread: end them
-                _kill_workers()
-            self._close()
-            raise
-
-    @staticmethod
-    def _receive(pid: int, replies):
-        """The result a worker sent, its score deltas added to this
-        process's counter; the worker's exception is raised here."""
-        try:
-            reply = pickle.load(replies)
-        except Exception:  # noqa: BLE001 - end of input or a torn reply
-            raise WorkerError(f"worker process {pid} exited without a result") from None
-        if reply[0] == "error":
-            raise reply[1]
-        _, result, cross, latent = reply
-        score_counter.cross += cross
-        score_counter.latent += latent
-        return result
-
-    def _close(self) -> None:
-        """Leave the group, restoring the BLAS thread count; later calls
-        run in-process."""
-        if self._token is not None:
-            _in_group.reset(self._token)
-            self._token = None
-        self._children = []
-        if self._blas is not None:
-            self._blas[1](self._saved_threads)
-            self._blas = None
-
-    def __exit__(self, *exc) -> None:
-        self._close()
+def _receive(pid: int, replies):
+    """The result a worker sent, its score deltas added to this process's
+    counter; the worker's exception is raised here."""
+    try:
+        reply = pickle.load(replies)
+    except Exception:  # noqa: BLE001 - end of input or a torn reply
+        raise WorkerError(f"worker process {pid} exited without a result") from None
+    if reply[0] == "error":
+        raise reply[1]
+    _, result, cross, latent = reply
+    score_counter.cross += cross
+    score_counter.latent += latent
+    return result
 
 
 def parallel_map(fn, args, items) -> list:
-    """``[fn(*args, share) for share in shares]``: the sequence ``items``
-    (any sequence that slices) sliced into ``worker_count(len(items))``
-    contiguous shares, one per process, by a ``Workers`` group of one
-    call. ``fn`` is a module-level function."""
-    with Workers(fn, len(items)) as workers:
-        return workers.map(args, items)
+    """``[fn(*args, share) for share in shares]``: ``fn`` a module-level
+    function, ``args`` a tuple, and ``items`` (any sequence that slices,
+    such as a list or a range) sliced into ``worker_count(len(items))``
+    contiguous shares, one per process.
+
+    The parent runs the first share. One fewer of this process's workers
+    are made ready, forking only those that do not exist yet; ``fn``,
+    ``args`` and one more share are pickled to each, and it sends its
+    result back. An exception raised by ``fn`` in a worker is raised
+    again here, with its class and message; a worker that dies is a
+    ``WorkerError``. An error in a call with workers kills and reaps
+    every worker. Runs in-process when one process suffices, the
+    platform cannot fork, the BLAS thread count cannot be pinned, or
+    this process is a worker or inside a call that has workers."""
+    processes = 1 if _in_group.get() else worker_count(len(items))
+    blas = _openblas_threads() if processes > 1 and hasattr(os, "fork") else None
+    if blas is None:
+        return [fn(*args, items[:])]
+    get_threads, set_threads = blas
+    saved_threads = get_threads()
+    set_threads(1)  # before any fork, so every worker runs one thread
+    token = _in_group.set(True)
+    try:
+        children = _ready_workers(processes - 1)
+        bounds = [len(items) * k // processes for k in range(processes + 1)]
+        shares = [items[a:b] for a, b in zip(bounds, bounds[1:])]
+        for (pid, requests, _), share in zip(children, shares[1:]):
+            try:
+                pickle.dump((fn, args, share), requests, pickle.HIGHEST_PROTOCOL)
+                requests.flush()
+            except OSError:
+                raise WorkerError(f"worker process {pid} is gone") from None
+        results = [fn(*args, shares[0])]
+        for pid, _, replies in children:
+            results.append(_receive(pid, replies))
+        return results
+    except BaseException:
+        _kill_workers()  # a worker's reply may be unread
+        raise
+    finally:
+        _in_group.reset(token)
+        set_threads(saved_threads)

@@ -50,23 +50,12 @@ def derive_seeds(base_seeds, count: int) -> np.ndarray:
     return _mix(bases[:, None] + steps)
 
 
-class SplitMix64:
-    """Tiny counter-based generator used for shuffling."""
-
-    def __init__(self, seed: int):
-        self._state = seed & _MASK
-
-    def next_u64(self) -> int:
-        self._state = (self._state + _GOLDEN) & _MASK
-        return _mix(self._state)
-
-
 def shuffled_indices(n: int, seed: int) -> np.ndarray:
-    """Fisher-Yates permutation of range(n) driven by a splitmix stream."""
+    """Fisher-Yates permutation of range(n) driven by a splitmix stream:
+    the swap at position i draws ``derive_seed(seed, n - 1 - i) % (i + 1)``."""
     idx = np.arange(n, dtype=np.int64)
-    stream = SplitMix64(seed)
-    for i in range(n - 1, 0, -1):
-        j = stream.next_u64() % (i + 1)
+    draws = (derive_seeds([seed], n - 1)[0] % np.arange(n, 1, -1, dtype=np.uint64)).tolist()
+    for i, j in zip(range(n - 1, 0, -1), draws):
         idx[i], idx[j] = idx[j], idx[i]
     return idx
 

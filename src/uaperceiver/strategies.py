@@ -30,7 +30,7 @@ from .metrics import softmax_rows, temperature_scale
 from .model import (FORWARD_CHUNK, PerceiverConfig, batch_loss, byte_kv,
                     forward_logits, init_params, latent_logits)
 from .optim import AdamWSettings, AdamWState, adamw_step
-from .parallel import Workers, parallel_map
+from .parallel import parallel_map
 from .params import ParamStore, swa_update
 from .rng import derive_seed, derive_seeds, first_uniforms, generator
 from .schedules import LRSchedule, capture_steps, lr_at
@@ -162,38 +162,30 @@ def train_model(
     """Run AdamW for schedule.total_steps, mutating ``params`` in place.
 
     Data order reshuffles every epoch from seeds derived off ``seed``. A
-    batch of at most FORWARD_CHUNK images is one graph. A larger one is
-    one graph per FORWARD_CHUNK images, spread over a worker group opened
-    once for the run (``chunk_gradients``)."""
+    batch is one graph per FORWARD_CHUNK images (``chunk_gradients``),
+    spread over the worker processes (``parallel_map``)."""
     log = TrainRunLog()
     state = AdamWState(params, settings.adamw)
     mask_rng = generator(seed, 0xD0) if settings.mc_delta > 0 else None
-    batch = min(settings.batch_size, len(dataset))
     batches: list = []
     epoch = 0
-    with Workers(chunk_gradients, -(-batch // FORWARD_CHUNK)) as workers:
-        for t in range(1, schedule.total_steps + 1):
-            if not batches:
-                batches = make_batches(dataset, settings.batch_size,
-                                       derive_seed(seed, epoch))
-                epoch += 1
-            images, labels = batches.pop(0)
-            if mask_rng is not None:
-                images = mc_dropout_mask(images, settings.mc_delta, mask_rng)
-            n_chunks = -(-len(labels) // FORWARD_CHUNK)
-            if n_chunks == 1:
-                parts = chunk_gradients(config, params, images, labels, range(1))
-            else:
-                parts = chain(*workers.map((config, params, images, labels),
-                                           range(n_chunks)))
-            loss_value, grad_vector = _sum_parts(parts)
-            if not np.isfinite(loss_value):
-                raise NumericError(f"non-finite loss at step {t}")
-            lr = lr_at(schedule, t)
-            adamw_step(params, grad_vector, state, lr)
-            log.steps.append((t, lr, loss_value))
-            if on_step is not None:
-                on_step(t, params, log)
+    for t in range(1, schedule.total_steps + 1):
+        if not batches:
+            batches = make_batches(dataset, settings.batch_size, derive_seed(seed, epoch))
+            epoch += 1
+        images, labels = batches.pop(0)
+        if mask_rng is not None:
+            images = mc_dropout_mask(images, settings.mc_delta, mask_rng)
+        parts = chain(*parallel_map(chunk_gradients, (config, params, images, labels),
+                                    range(-(-len(labels) // FORWARD_CHUNK))))
+        loss_value, grad_vector = _sum_parts(parts)
+        if not np.isfinite(loss_value):
+            raise NumericError(f"non-finite loss at step {t}")
+        lr = lr_at(schedule, t)
+        adamw_step(params, grad_vector, state, lr)
+        log.steps.append((t, lr, loss_value))
+        if on_step is not None:
+            on_step(t, params, log)
     return log
 
 

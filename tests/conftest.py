@@ -13,9 +13,13 @@ from uaperceiver import parallel
 def no_process_left():
     """Close this process's workers after each test, as its exit does, so
     the next test forks its own: a monkeypatch made in a test reaches the
-    workers it forks. A child process left behind fails the test."""
+    workers it forks. A child process left behind fails the test, and so
+    does a worker-call flag left set, which would make every later
+    ``parallel_map`` run in-process."""
     yield
     parallel.close_workers()
+    if parallel._in_group.get():
+        pytest.fail("the test left parallel._in_group set")
     try:
         pid, _ = os.waitpid(-1, os.WNOHANG)
     except ChildProcessError:

@@ -1,6 +1,6 @@
 """Forked workers: worker-count resolution, share order, error and
 process hygiene, workers forked once per process and reused by every
-later group, and results that do not depend on the worker count."""
+later call, and results that do not depend on the worker count."""
 
 import ctypes
 import os
@@ -18,7 +18,7 @@ import uaperceiver as ua
 from uaperceiver import model, parallel, strategies
 from uaperceiver.cli import main
 from uaperceiver.errors import ConfigError, NumericError, WorkerError
-from uaperceiver.parallel import Workers, _openblas_threads, parallel_map, worker_count
+from uaperceiver.parallel import _openblas_threads, parallel_map, worker_count
 from uaperceiver.rng import derive_seed
 
 from test_harness import tiny_run_config, without_wall_clock, write_tiny_config
@@ -176,7 +176,7 @@ def test_worker_dying_without_a_result_is_a_worker_error(monkeypatch):
     with pytest.raises(WorkerError, match="exited without a result"):
         parallel_map(die_on_item_1, (), range(2))
     assert_no_child_left()
-    # the next group forks a fresh worker
+    # the next call forks a fresh worker
     assert parallel_map(die_on_item_1, (), [0, 2]) == [[0], [2]]
 
 
@@ -191,6 +191,23 @@ def test_workers_run_one_blas_thread_and_the_count_is_restored(monkeypatch):
     assert get_threads() == before
 
 
+def test_the_blas_thread_count_is_restored_after_a_worker_raises(monkeypatch):
+    blas = _openblas_threads()
+    if blas is None:
+        pytest.skip("no OpenBLAS loaded")
+    use_workers(monkeypatch, 2)
+    get_threads, set_threads = blas
+    before = get_threads()
+    set_threads(2)  # a count a worker call would change
+    try:
+        expected = get_threads()
+        with pytest.raises(NumericError, match="member 1 diverged"):
+            parallel_map(fail_on_item_1, (), range(2))
+        assert get_threads() == expected
+    finally:
+        set_threads(before)
+
+
 def test_groups_do_not_nest(monkeypatch):
     use_workers(monkeypatch, 2)
     forks = count_forks(monkeypatch)
@@ -199,18 +216,17 @@ def test_groups_do_not_nest(monkeypatch):
     # each process's inner call ran in that process alone
     assert [inner for _, inner in outer] == [[pid] for pid, _ in outer]
     assert forks == [1] and worker_pids() == [outer[1][0]]
-    # the outer group has ended, so the next call runs on the same worker
+    # the outer call has ended, so the next call runs on the same worker
     assert parallel_map(pid_of, (), range(2)) == [pid for pid, _ in outer]
 
 
 # ---- workers forked once per process ---------------------------------------
 
 
-def test_a_group_forks_once_and_serves_every_call(monkeypatch):
+def test_the_first_call_forks_once_and_its_workers_serve_every_call(monkeypatch):
     use_workers(monkeypatch, 2)
     forks = count_forks(monkeypatch)
-    with Workers(scaled_and_pids, 5) as w:
-        calls = [w.map((k,), range(5)) for k in (1, 10, 100)]
+    calls = [parallel_map(scaled_and_pids, (k,), range(5)) for k in (1, 10, 100)]
     assert forks == [1]
     for k, shares in zip((1, 10, 100), calls):
         assert [v for share in shares for v, _ in share] == [k * x for x in range(5)]
@@ -270,7 +286,7 @@ if sys.argv[2] == "killed":
 @pytest.mark.parametrize("end", ["exits", "killed"])
 def test_workers_end_with_their_interpreter(end):
     if _openblas_threads() is None:
-        pytest.skip("no OpenBLAS loaded, so groups run in-process")
+        pytest.skip("no OpenBLAS loaded, so calls run in-process")
     if end == "killed" and sys.platform != "linux":
         pytest.skip("workers die with their parent on Linux only")
     src = Path(ua.__file__).resolve().parent.parent
@@ -321,26 +337,37 @@ def test_a_process_forked_by_other_means_leaves_the_workers_alone(monkeypatch):
     assert parallel_map(pid_of, (), range(2))[1] == worker
 
 
-def test_a_group_runs_in_process_with_one_worker(monkeypatch):
+def test_a_call_runs_in_process_with_one_worker(monkeypatch):
     use_workers(monkeypatch, 1)
-    with Workers(arg_share_and_pid, 4) as w:
-        assert w.map(("a",), range(4)) == [("a", [0, 1, 2, 3], os.getpid())]
+    assert parallel_map(arg_share_and_pid, ("a",), range(4)) == [
+        ("a", [0, 1, 2, 3], os.getpid())]
+
+
+def test_a_one_item_call_never_reaches_a_worker(monkeypatch):
+    use_workers(monkeypatch, 2)
+    [_, worker] = parallel_map(pid_of, (), range(2))
+
+    def no_workers(count):
+        raise AssertionError("a one-item call made workers ready")
+
+    monkeypatch.setattr(parallel, "_ready_workers", no_workers)
+    assert parallel_map(pid_of, (), range(1)) == [os.getpid()]
+    assert worker_pids() == [worker]
 
 
 def test_training_chunks_stop_page_faulting():
-    """Inside a group, freed graph memory stays in the heap: a second
-    default-model chunk reuses the first one's pages."""
+    """Freed graph memory stays in the heap, by the allocator policy set
+    at import: a second default-model chunk reuses the first one's pages."""
     if not hasattr(ctypes.pythonapi, "mallopt"):
         pytest.skip("libc has no mallopt")
     config = ua.PerceiverConfig()
     params = model.init_params(config, 0)
     data = ua.synth_dataset(0, 8)
     faults = []
-    with Workers(None, 1):
-        for _ in range(2):
-            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-            strategies.chunk_gradients(config, params, data.images, data.labels, range(1))
-            faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    for _ in range(2):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        strategies.chunk_gradients(config, params, data.images, data.labels, range(1))
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
     assert faults[1] < 256, faults
 
 
@@ -363,7 +390,7 @@ print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 10)
 
 def test_a_bare_engine_call_stops_page_faulting():
     """Importing the package sets the allocator policy, so a fresh process
-    that never opens a worker group reuses freed pages too: criterion-7
+    that never calls ``parallel_map`` reuses freed pages too: criterion-7
     MC images after the first take almost no minor faults (over 1,000
     each without the policy)."""
     if not hasattr(ctypes.pythonapi, "mallopt"):
@@ -386,7 +413,7 @@ def test_training_forks_once_per_run(tmp_path, monkeypatch):
 
 
 def test_a_second_training_run_takes_almost_no_page_faults(tmp_path, monkeypatch):
-    """After the first group, the parent writes only to pages it already
+    """After the first call, the parent writes only to pages it already
     owns: no fork write-protects its heap again."""
     if not hasattr(ctypes.pythonapi, "mallopt"):
         pytest.skip("libc has no mallopt")

@@ -1,9 +1,11 @@
-"""The stream replica against numpy's own seeding and drawing."""
+"""The stream replica against numpy's own seeding and drawing, and the
+shuffle against the splitmix64 stream loop it replaced."""
 
 import numpy as np
 import pytest
 
-from uaperceiver.rng import derive_seed, derive_seeds, first_uniforms, pcg64_states
+from uaperceiver.rng import (_GOLDEN, _MASK, _mix, derive_seed, derive_seeds,
+                             first_uniforms, pcg64_states, shuffled_indices)
 
 EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
 SEEDS = EDGE_SEEDS + np.random.default_rng(2024).integers(
@@ -35,3 +37,23 @@ def test_derive_seeds_equal_derive_seed():
         0, count, size=100).tolist()
     for row, base in enumerate(bases):
         assert [int(seeds[row, i]) for i in picks] == [derive_seed(base, i) for i in picks]
+
+
+def reference_shuffle(n, seed):
+    """Fisher-Yates over range(n), one splitmix64 draw per swap, each
+    drawn from a counter stepped by the golden ratio."""
+    idx = np.arange(n, dtype=np.int64)
+    state = seed & _MASK
+    for i in range(n - 1, 0, -1):
+        state = (state + _GOLDEN) & _MASK
+        j = _mix(state) % (i + 1)
+        idx[i], idx[j] = idx[j], idx[i]
+    return idx
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 17, 400, 2000])
+@pytest.mark.parametrize("seed", [0, 1, -5, 2**64 - 1, 123456789012345678901])
+def test_shuffled_indices_equal_the_stream_loop(n, seed):
+    order = shuffled_indices(n, seed)
+    assert order.dtype == np.int64
+    np.testing.assert_array_equal(order, reference_shuffle(n, seed))
