@@ -10,6 +10,7 @@ Gaussian blob at a class-specific position plus seeded pixel noise.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -70,7 +71,8 @@ def load_cifar(path, variant: str) -> Dataset:
             f"{path}: label byte {int(labels.max())} >= {num_classes}"
         )
     planes = arr[:, label_bytes:].reshape(n, 3, 32, 32)
-    images = planes.transpose(0, 2, 3, 1).astype(np.float64) / 255.0
+    images = planes.transpose(0, 2, 3, 1).astype(np.float64)
+    images /= 255.0
     return Dataset(images, labels, num_classes, name=variant, split="train")
 
 
@@ -117,8 +119,8 @@ def synth_dataset(seed: int, n: int, resolution: int = 16, num_classes: int = 3,
          for k in range(num_classes)]
     )
     patterns = 0.5 + contrast * (patterns - 0.5)
-    images = patterns[labels] + rng.normal(0.0, noise, size=(n, resolution,
-                                                             resolution, channels))
+    images = patterns[labels]
+    images += rng.normal(0.0, noise, size=(n, resolution, resolution, channels))
     np.clip(images, 0.0, 1.0, out=images)
     return Dataset(images, labels.astype(np.int64), num_classes,
                    name=f"synth{resolution}x{resolution}k{num_classes}", split=split)
@@ -143,35 +145,54 @@ def channel_stats(dataset: Dataset) -> ChannelStats:
 
 
 def standardize(dataset: Dataset, stats: ChannelStats) -> Dataset:
-    return replace(dataset, images=(dataset.images - stats.mean) / stats.std)
+    images = dataset.images - stats.mean
+    images /= stats.std
+    return replace(dataset, images=images)
+
+
+def iter_batches(dataset: Dataset, batch_size: int, seed: int, rows=None
+                 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Seeded Fisher-Yates shuffle of ``rows`` (row indices into
+    ``dataset``; all rows by default) into (images, labels) batches; the
+    last short batch is kept. The shuffle is drawn at the call, and each
+    batch is gathered only when the iteration reaches it, so no more
+    than one batch's copy of the data exists at a time."""
+    if batch_size < 1:
+        raise UsageError(f"batch_size must be >= 1, got {batch_size}")
+    if rows is None:
+        order = shuffled_indices(len(dataset), seed)
+    else:
+        order = np.asarray(rows)[shuffled_indices(len(rows), seed)]
+    return ((dataset.images[picked], dataset.labels[picked])
+            for picked in (order[i : i + batch_size]
+                           for i in range(0, len(order), batch_size)))
 
 
 def make_batches(dataset: Dataset, batch_size: int, seed: int
                  ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Seeded Fisher-Yates shuffle into (images, labels) batches; the
-    last short batch is kept."""
-    if batch_size < 1:
-        raise UsageError(f"batch_size must be >= 1, got {batch_size}")
-    order = shuffled_indices(len(dataset), seed)
-    return [
-        (dataset.images[order[i : i + batch_size]],
-         dataset.labels[order[i : i + batch_size]])
-        for i in range(0, len(dataset), batch_size)
-    ]
+    """Every batch of ``iter_batches`` over all of ``dataset``, gathered
+    at once."""
+    return list(iter_batches(dataset, batch_size, seed))
 
 
-def split_calibration(dataset: Dataset, seed: int, fraction: float = 0.1
-                      ) -> tuple[Dataset, Dataset]:
-    """Hold out the last fraction of a seeded shuffle for calibration."""
-    n = len(dataset)
+def calibration_rows(n: int, seed: int, fraction: float = 0.1
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """(training rows, calibration rows) of an n-row dataset: the last
+    fraction of a seeded shuffle is held out for calibration."""
     n_cal = max(1, int(math.ceil(fraction * n)))
     if n_cal >= n:
         raise UsageError("calibration split would consume the whole dataset")
     order = shuffled_indices(n, derive_seed(seed, 0x5EED))
-    return (
-        dataset.subset(order[: n - n_cal], split="train"),
-        dataset.subset(order[n - n_cal :], split="calibration"),
-    )
+    return order[: n - n_cal], order[n - n_cal :]
+
+
+def split_calibration(dataset: Dataset, seed: int, fraction: float = 0.1
+                      ) -> tuple[Dataset, Dataset]:
+    """The ``calibration_rows`` split, each side copied into its own
+    Dataset."""
+    train_rows, calib_rows = calibration_rows(len(dataset), seed, fraction)
+    return (dataset.subset(train_rows, split="train"),
+            dataset.subset(calib_rows, split="calibration"))
 
 
 # ---- pixel permutation ----------------------------------------------

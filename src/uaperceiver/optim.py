@@ -43,7 +43,9 @@ def adamw_step(params: ParamStore, grad_vector: np.ndarray, state: AdamWState,
     """One in-place AdamW update of ``params.vector`` by ``grad_vector``, a
     gradient of the same layout, in about ten array operations. Weight
     decay is decoupled: p <- p - lr*wd*p is applied separately from the
-    bias-corrected moment update."""
+    bias-corrected moment update. An update that leaves a parameter
+    non-finite raises ``NumericError`` naming the step, not a numpy
+    warning."""
     if lr < 0:
         raise NumericError(f"learning rate must be >= 0, got {lr}")
     p, g = params.vector, grad_vector
@@ -55,10 +57,15 @@ def adamw_step(params: ParamStore, grad_vector: np.ndarray, state: AdamWState,
     s, m, v = state.settings, state.m, state.v
     state.step_count += 1
     t = state.step_count
-    m *= s.beta1
-    m += (1.0 - s.beta1) * g
-    v *= s.beta2
-    v += (1.0 - s.beta2) * g * g
-    p -= lr * ((m / (1.0 - s.beta1 ** t)) / (np.sqrt(v / (1.0 - s.beta2 ** t)) + s.eps))
-    if s.weight_decay != 0.0:
-        p -= lr * s.weight_decay * p
+    # overflow shows as a non-finite parameter, checked below
+    with np.errstate(over="ignore", invalid="ignore"):
+        m *= s.beta1
+        m += (1.0 - s.beta1) * g
+        v *= s.beta2
+        v += (1.0 - s.beta2) * g * g
+        p -= lr * ((m / (1.0 - s.beta1 ** t)) / (np.sqrt(v / (1.0 - s.beta2 ** t)) + s.eps))
+        if s.weight_decay != 0.0:
+            p -= lr * s.weight_decay * p
+    if not np.all(np.isfinite(p)):
+        raise NumericError(f"AdamW step {t} made parameter "
+                           f"{params.first_nonfinite(p)!r} non-finite")

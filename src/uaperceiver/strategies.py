@@ -20,11 +20,11 @@ bit-reproducible in isolation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, count
 
 import numpy as np
 
-from .data import Dataset, make_batches, split_calibration
+from .data import Dataset, calibration_rows, iter_batches
 from .errors import DimensionError, NumericError, RangeError, UsageError
 from .metrics import softmax_rows, temperature_scale
 from .model import (FORWARD_CHUNK, PerceiverConfig, batch_loss, byte_kv,
@@ -158,22 +158,25 @@ def train_model(
     seed: int,
     settings: TrainSettings = TrainSettings(),
     on_step=None,
+    rows=None,
 ) -> TrainRunLog:
     """Run AdamW for schedule.total_steps, mutating ``params`` in place.
 
-    Data order reshuffles every epoch from seeds derived off ``seed``. A
-    batch is one graph per FORWARD_CHUNK images (``chunk_gradients``),
-    spread over the worker processes (``parallel_map``)."""
+    Trains on ``rows`` of ``dataset`` (row indices; all rows by default),
+    which stays the only copy of the data: data order reshuffles every
+    epoch from seeds derived off ``seed``, and each step gathers its own
+    batch (``iter_batches``). A batch is one graph per FORWARD_CHUNK
+    images (``chunk_gradients``), spread over the worker processes
+    (``parallel_map``)."""
+    if rows is not None and len(rows) == 0:
+        raise UsageError("no rows to train on")
     log = TrainRunLog()
     state = AdamWState(params, settings.adamw)
     mask_rng = generator(seed, 0xD0) if settings.mc_delta > 0 else None
-    batches: list = []
-    epoch = 0
-    for t in range(1, schedule.total_steps + 1):
-        if not batches:
-            batches = make_batches(dataset, settings.batch_size, derive_seed(seed, epoch))
-            epoch += 1
-        images, labels = batches.pop(0)
+    batches = chain.from_iterable(
+        iter_batches(dataset, settings.batch_size, derive_seed(seed, epoch), rows)
+        for epoch in count())
+    for t, (images, labels) in zip(range(1, schedule.total_steps + 1), batches):
         if mask_rng is not None:
             images = mc_dropout_mask(images, settings.mc_delta, mask_rng)
         parts = chain(*parallel_map(chunk_gradients, (config, params, images, labels),
@@ -196,7 +199,8 @@ def chunk_gradients(config: PerceiverConfig, params: ParamStore, images, labels,
     weighted by the chunk's share of the batch, so the batch's mean loss
     and its gradient are the sums of the parts. A chunk that is the
     whole batch is one graph, unweighted. Every parameter of a model's
-    store reaches its loss, so each has a gradient."""
+    store reaches its loss, so each has a gradient. One chunk's graph is
+    freed before the next chunk's is built."""
     parts = []
     for c in chunks:
         rows = slice(c * FORWARD_CHUNK, (c + 1) * FORWARD_CHUNK)
@@ -204,6 +208,7 @@ def chunk_gradients(config: PerceiverConfig, params: ParamStore, images, labels,
         loss_value = float(loss.data)
         found = loss.backward()
         grad_vector = np.concatenate([found[p].ravel() for _, p in params.items()])
+        del loss, found
         weight = len(labels[rows]) / len(labels)
         if weight != 1.0:
             loss_value *= weight
@@ -231,21 +236,23 @@ def train_member(
     fit_temperature: bool = True,
 ) -> tuple[ParamStore, float, TrainRunLog]:
     """One independent training: seeded init, seeded shuffling, then an
-    optional temperature fit on a 10% held-out calibration split."""
+    optional temperature fit on a 10% held-out calibration split.
+
+    The split is a pair of row-index arrays into ``dataset``
+    (``calibration_rows``): training reads its rows from ``dataset``
+    itself, and only the calibration rows are copied, for the fit."""
     if len(dataset) == 0:
         raise UsageError("empty dataset")
     params = init_params(config, derive_seed(member_seed, 1))
     temperature = 1.0
-    if fit_temperature:
-        train_ds, calib_ds = split_calibration(dataset, member_seed)
-    else:
-        train_ds, calib_ds = dataset, None
-    log = train_model(config, params, train_ds, schedule,
-                      derive_seed(member_seed, 2), settings)
+    train_rows, calib_rows = (calibration_rows(len(dataset), member_seed)
+                              if fit_temperature else (None, None))
+    log = train_model(config, params, dataset, schedule,
+                      derive_seed(member_seed, 2), settings, rows=train_rows)
     frozen = params.detached()
-    if calib_ds is not None:
-        logits = forward_logits(config, frozen, calib_ds.images)
-        temperature, _ = temperature_scale(logits, calib_ds.labels)
+    if calib_rows is not None:
+        logits = forward_logits(config, frozen, dataset.images[calib_rows])
+        temperature, _ = temperature_scale(logits, dataset.labels[calib_rows])
     return frozen, temperature, log
 
 
@@ -263,7 +270,8 @@ def deep_ensemble_train(
     """Independently seeded members, each temperature-scaled before the
     uniform probability average. Members train in worker processes
     (``parallel_map``); each is the same in any of them. Each worker is
-    sent its own copy of ``dataset``."""
+    sent its own copy of ``dataset``, the only copy its members train on
+    (``train_member``)."""
     if ensemble_size < 1:
         raise UsageError(f"ensemble_size must be >= 1, got {ensemble_size}")
     shares = parallel_map(_train_members,

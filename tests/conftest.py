@@ -1,6 +1,7 @@
 """Shared fixtures and oracles for the test suite."""
 
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,11 +16,16 @@ def no_process_left():
     the next test forks its own: a monkeypatch made in a test reaches the
     workers it forks. A child process left behind fails the test, and so
     does a worker-call flag left set, which would make every later
-    ``parallel_map`` run in-process."""
+    ``parallel_map`` run in-process, and tracemalloc left tracing, which
+    would slow every later test."""
+    tracing = tracemalloc.is_tracing()
     yield
     parallel.close_workers()
     if parallel._in_group.get():
         pytest.fail("the test left parallel._in_group set")
+    if tracemalloc.is_tracing() and not tracing:
+        tracemalloc.stop()
+        pytest.fail("the test left tracemalloc tracing")
     try:
         pid, _ = os.waitpid(-1, os.WNOHANG)
     except ChildProcessError:
@@ -64,3 +70,14 @@ def global_fd_gradcheck(build_loss, leaves, h=1e-5):
     a = np.concatenate(analytic)
     f = np.concatenate(numeric)
     return np.linalg.norm(a - f) / max(np.linalg.norm(a), np.linalg.norm(f), 1e-12)
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes allocated while ``fn()`` ran, above what was allocated
+    before, as tracemalloc counts them (numpy reports its array data)."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

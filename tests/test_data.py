@@ -5,14 +5,16 @@ import pytest
 
 import uaperceiver as ua
 from uaperceiver.data import (
+    _class_pattern,
     apply_permutation,
     channel_stats,
+    iter_batches,
     spatial_permutation,
     split_calibration,
     standardize,
 )
 from uaperceiver.errors import DimensionError, FormatError, UsageError
-from uaperceiver.rng import shuffled_indices
+from uaperceiver.rng import generator, shuffled_indices
 
 
 # ---- CIFAR fixtures --------------------------------------------------
@@ -56,6 +58,16 @@ def test_cifar100_fine_label(tmp_path):
                                atol=1e-15)
 
 
+def test_cifar_equals_its_out_of_place_expression(tmp_path):
+    raw = np.random.default_rng(3).integers(0, 256, size=(5, 3073), dtype=np.uint8)
+    raw[:, 0] %= 10
+    path = tmp_path / "batch.bin"
+    path.write_bytes(raw.tobytes())
+    planes = raw[:, 1:].reshape(5, 3, 32, 32)
+    expected = planes.transpose(0, 2, 3, 1).astype(np.float64) / 255.0
+    np.testing.assert_array_equal(ua.load_cifar(path, "cifar10").images, expected)
+
+
 def test_cifar_truncated_file(tmp_path):
     path = tmp_path / "bad.bin"
     path.write_bytes(cifar10_record(1, 0)[:-5])
@@ -92,6 +104,17 @@ def test_synth_deterministic():
     np.testing.assert_array_equal(a.labels, b.labels)
     c = ua.synth_dataset(6, 40)
     assert not np.array_equal(a.images, c.images)
+
+
+def test_synth_equals_its_out_of_place_expression():
+    ds = ua.synth_dataset(5, 40, resolution=8, noise=0.3, contrast=0.7)
+    rng = generator(5, 0)
+    labels = rng.integers(0, 3, size=40)
+    patterns = np.stack([_class_pattern(k, 3, 8, 3) for k in range(3)])
+    patterns = 0.5 + 0.7 * (patterns - 0.5)
+    expected = np.clip(patterns[labels] + rng.normal(0.0, 0.3, size=(40, 8, 8, 3)), 0.0, 1.0)
+    np.testing.assert_array_equal(ds.labels, labels)
+    np.testing.assert_array_equal(ds.images, expected)
 
 
 def test_synth_value_and_label_ranges():
@@ -167,6 +190,16 @@ def test_batches_match_fisher_yates(tiny_dataset):
     order = shuffled_indices(len(tiny_dataset), 31)
     flat = np.concatenate([x for x, _ in batches])
     np.testing.assert_array_equal(flat, tiny_dataset.images[order])
+
+
+def test_batches_of_rows_equal_batches_of_their_copy(tiny_dataset):
+    rows = shuffled_indices(len(tiny_dataset), 9)[:17]
+    copied = ua.make_batches(tiny_dataset.subset(rows), 5, 11)
+    gathered = list(iter_batches(tiny_dataset, 5, 11, rows))
+    assert [len(labels) for _, labels in gathered] == [5, 5, 5, 2]
+    for (images, labels), (want_images, want_labels) in zip(gathered, copied, strict=True):
+        np.testing.assert_array_equal(images, want_images)
+        np.testing.assert_array_equal(labels, want_labels)
 
 
 def test_batch_size_validation(tiny_dataset):

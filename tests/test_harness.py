@@ -859,6 +859,23 @@ def test_cli_train_rejects_config_before_creating_out_dir(tmp_path, capsys):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_cli_diverging_run_is_one_numeric_error_line(tmp_path, monkeypatch, capsys,
+                                                     workers):
+    """An update that overflows the weights ends the run with one line,
+    not numpy warnings (which the test suite raises as errors); a batch
+    of two chunks puts one on each worker."""
+    from uaperceiver import parallel
+
+    monkeypatch.setattr(parallel, "worker_count", lambda items: min(workers, items))
+    sets = ["learning_rate=1e300", "train_steps=3", "synth_train=16", "batch_size=16",
+            "synth_test=4"]
+    argv = ["train", "--out-dir", str(tmp_path / "run")]
+    assert main(argv + [arg for item in sets for arg in ("--set", item)]) == 2
+    assert capsys.readouterr().err == (
+        "numeric error: AdamW step 1 made parameter 'input.byte_proj.w' non-finite\n")
+
+
 @pytest.mark.parametrize("setting", [
     "synth_train=100000000000000",
     "latent_count=10000000000000",

@@ -6,14 +6,17 @@ import pytest
 
 import uaperceiver as ua
 from uaperceiver import model, strategies
-from uaperceiver.data import channel_stats, standardize
+from uaperceiver.data import channel_stats, make_batches, split_calibration, standardize
 from uaperceiver.errors import DimensionError, RangeError, UsageError
 from uaperceiver.model import (FORWARD_CHUNK, batch_loss, forward_logits, init_params,
                                score_counter)
-from uaperceiver.metrics import softmax_rows
+from uaperceiver.metrics import softmax_rows, temperature_scale
+from uaperceiver.optim import AdamWState, adamw_step
 from uaperceiver.rng import derive_seed, generator
+from uaperceiver.schedules import lr_at
 from uaperceiver.strategies import chunk_gradients, train_model
 
+from conftest import traced_peak
 from test_model import CRITERION7, LEARNABLE_UNSHARED_R3
 
 FAST = ua.TrainSettings(batch_size=4)
@@ -567,3 +570,96 @@ def test_a_batch_of_one_chunk_is_one_graph_bit_for_bit(tiny_config, tiny_dataset
     expected_loss, expected = one_graph(tiny_config, params, images, labels)
     assert loss == expected_loss
     np.testing.assert_array_equal(grad, expected)
+
+
+def test_chunk_gradients_holds_one_chunk_graph_at_a_time():
+    """Two chunks peak near one: chunk 0's graph is freed before chunk 1's
+    is built."""
+    config = ua.PerceiverConfig()
+    data = ua.synth_dataset(3, 2 * FORWARD_CHUNK)
+    params = init_params(config, 4)
+
+    def chunks(n):
+        return lambda: chunk_gradients(config, params, data.images, data.labels, range(n))
+
+    chunks(1)()  # first-call set-up is not counted against one chunk
+    one, two = traced_peak(chunks(1)), traced_peak(chunks(2))
+    assert two < 1.15 * one, (one, two)
+
+
+# ---- one copy of the training data -----------------------------------
+
+
+@pytest.mark.parametrize("train", [
+    lambda data: ua.train_member(CRITERION7, data, constant(2), 5, FAST),
+    lambda data: train_model(CRITERION7, init_params(CRITERION7, 6), data, constant(2),
+                             7, ua.TrainSettings(batch_size=4, mc_delta=0.1)),
+], ids=["train_member-temperature-fit", "train_model-mc-dropout"])
+def test_training_holds_no_copy_of_the_training_data(train):
+    """A training gathers one batch per step from the dataset it was
+    given, and a temperature fit copies only the calibration rows."""
+    data = ua.synth_dataset(3, 2000)
+    assert traced_peak(lambda: train(data)) < 0.5 * data.images.nbytes
+
+
+def copied_train_model(config, params, dataset, schedule, seed, settings):
+    """``train_model`` as it was before batches were gathered per step:
+    each epoch's batches copied at its start (``make_batches``), the
+    chunks of a batch computed in-process and summed in chunk order."""
+    state = AdamWState(params, settings.adamw)
+    mask_rng = generator(seed, 0xD0) if settings.mc_delta > 0 else None
+    batches, epoch = [], 0
+    for t in range(1, schedule.total_steps + 1):
+        if not batches:
+            batches = make_batches(dataset, settings.batch_size, derive_seed(seed, epoch))
+            epoch += 1
+        images, labels = batches.pop(0)
+        if mask_rng is not None:
+            images = ua.mc_dropout_mask(images, settings.mc_delta, mask_rng)
+        parts = chunk_gradients(config, params, images, labels,
+                                range(-(-len(labels) // FORWARD_CHUNK)))
+        grad_vector = parts[0][1]
+        for _, more in parts[1:]:
+            grad_vector += more
+        adamw_step(params, grad_vector, state, lr_at(schedule, t))
+
+
+def copied_train_member(config, dataset, schedule, member_seed, settings,
+                        fit_temperature):
+    """``train_member`` on copies: the split copied by
+    ``split_calibration``, training on the copied rows, and the fit on the
+    copied calibration rows."""
+    params = init_params(config, derive_seed(member_seed, 1))
+    if fit_temperature:
+        train_ds, calib_ds = split_calibration(dataset, member_seed)
+    else:
+        train_ds, calib_ds = dataset, None
+    copied_train_model(config, params, train_ds, schedule, derive_seed(member_seed, 2),
+                       settings)
+    frozen = params.detached()
+    temperature = 1.0
+    if calib_ds is not None:
+        logits = forward_logits(config, frozen, calib_ds.images)
+        temperature, _ = temperature_scale(logits, calib_ds.labels)
+    return frozen, temperature
+
+
+@pytest.mark.parametrize("fit_temperature, batch_size, steps, mc_delta", [
+    (True, 4, 14, 0.0),    # 21 training rows: a short last batch, 3 epochs
+    (False, 5, 12, 0.0),   # 24 rows: a short last batch, 3 epochs
+    (True, 10, 7, 0.0),    # two chunks a batch, in worker processes
+    (True, 4, 12, 0.2),
+    (False, 16, 4, 0.2),
+])
+def test_train_member_bit_equals_training_on_copies(tiny_config, tiny_dataset,
+                                                    fit_temperature, batch_size,
+                                                    steps, mc_delta):
+    settings = ua.TrainSettings(batch_size=batch_size, mc_delta=mc_delta)
+    store, temperature, log = ua.train_member(tiny_config, tiny_dataset, constant(steps),
+                                              31, settings, fit_temperature)
+    expected, expected_temperature = copied_train_member(
+        tiny_config, tiny_dataset, constant(steps), 31, settings, fit_temperature)
+    assert len(log.steps) == steps
+    np.testing.assert_array_equal(store.vector, expected.vector)
+    assert temperature == expected_temperature
+    assert (temperature != 1.0) == fit_temperature
