@@ -29,8 +29,10 @@ LN_EPS = 1e-5
 # images per graph: forward_logits runs one forward per chunk, a
 # training step one forward + backward per chunk of its batch
 # (strategies.chunk_gradients), and MC dropout one byte side per chunk
-# of test images (strategies._mc_probabilities). Larger chunks raise
-# peak memory, and a training graph of more images runs slower once it
+# of test images (strategies._mc_probabilities). A training chunk peaks
+# at its forward graph plus one node's backward arrays, since backward
+# frees each node as it goes, so larger chunks raise peak memory in
+# proportion; a training graph of more images also runs slower once it
 # outgrows the cache.
 FORWARD_CHUNK = 8
 
@@ -332,12 +334,14 @@ def latent_block(latent, params: ParamStore, config: PerceiverConfig, group: str
 
 
 def _matching_store(forward):
-    """Report a parameter the store lacks as a ConfigError."""
+    """Report a parameter the store lacks as a ConfigError; run the
+    forward under ``T.quiet_overflow``."""
 
     @wraps(forward)
     def checked(config: PerceiverConfig, params: ParamStore, *args):
         try:
-            return forward(config, params, *args)
+            with T.quiet_overflow():
+                return forward(config, params, *args)
         except KeyError as exc:
             raise ConfigError(f"parameter store does not match config: missing {exc}")
 
@@ -400,4 +404,5 @@ def batch_loss(config: PerceiverConfig, params: ParamStore, images, labels):
     labels = np.asarray(labels, dtype=np.int64)
     if labels.size == 0:
         raise UsageError("batch_loss called with an empty batch")
-    return T.cross_entropy(perceiver_forward(config, params, images), labels)
+    with T.quiet_overflow():
+        return T.cross_entropy(perceiver_forward(config, params, images), labels)

@@ -11,6 +11,10 @@ views. Operations compute in place only on arrays they allocated: none
 writes into its inputs or into a gradient it receives, since gradients
 may alias. Tensors hold no gradient state: ``backward`` returns the
 gradients. A node's backward gives None to a parent needing no gradient.
+``backward`` is one-shot: it drops each node's closure and parents once
+the node has pushed its gradient, so a graph's arrays are freed as the
+backward goes and a training step peaks at its forward graph plus one
+node's backward arrays; a consumed graph cannot be backpropagated again.
 Reductions call their ufunc reducers (``np.add.reduce``, ...) directly and
 finiteness is ``np.isfinite(x).all()``: numpy's Python wrappers, such as
 ``ndarray.mean`` and ``np.all``, cost 2-6 us a call, a real share of a node.
@@ -65,7 +69,13 @@ class Tensor:
 
     def backward(self) -> dict["Tensor", np.ndarray]:
         """Backpropagate a scalar loss; returns ``{leaf: gradient}`` for each
-        ``requires_grad`` leaf it reaches. Read-only: gradients may alias."""
+        ``requires_grad`` leaf it reaches. Read-only: gradients may alias.
+
+        One-shot: each interior node drops its backward closure and its
+        parents once it has pushed its gradient, so a forward array is
+        freed as soon as the last backward reading it has run. A second
+        call, or the backward of a new graph that reaches a consumed
+        node, raises UsageError; leaves are never consumed."""
         if self.data.size != 1:
             raise UsageError(
                 f"backward() requires a scalar, got shape {self.data.shape}"
@@ -73,14 +83,17 @@ class Tensor:
         order = _toposort(self)
         grads: dict[int, np.ndarray] = {id(self): np.ones_like(self.data)}
         leaf_grads: dict[Tensor, np.ndarray] = {}
-        for node in order:
-            g = grads.pop(id(node), None)
-            if g is None:
-                continue
-            if node.requires_grad:
-                leaf_grads[node] = g.reshape(node.data.shape)
-            if node._backward is not None:
-                for parent, contrib in node._backward(g):
+        with quiet_overflow():
+            while order:
+                node = order.pop()
+                g = grads.pop(id(node), None)
+                backward = node._backward
+                if backward is None:  # a leaf, or a constant
+                    if g is not None and node.requires_grad:
+                        leaf_grads[node] = g.reshape(node.data.shape)
+                    continue
+                node._parents, node._backward = (), _consumed
+                for parent, contrib in backward(g):
                     if not _needs_grad(parent):
                         continue
                     key = id(parent)
@@ -91,8 +104,18 @@ class Tensor:
         return leaf_grads
 
 
+def _consumed(g):
+    """The backward closure of a node whose graph has been backpropagated."""
+    raise UsageError(
+        "backward() reached a graph node whose backward already ran; "
+        "build the loss again"
+    )
+
+
 def _toposort(root: Tensor) -> list:
-    """Reverse topological order, iterative to tolerate deep graphs."""
+    """Topological order, the root last, iterative to tolerate deep
+    graphs; a consumed node is a UsageError here, before any backward
+    runs."""
     order: list = []
     seen: set = set()
     stack: list = [(root, False)]
@@ -103,17 +126,27 @@ def _toposort(root: Tensor) -> list:
             continue
         if id(node) in seen:
             continue
+        if node._backward is _consumed:
+            _consumed(None)  # raises
         seen.add(id(node))
         stack.append((node, True))
         for p in node._parents:
             if id(p) not in seen:
                 stack.append((p, False))
-    order.reverse()
     return order
 
 
-def _needs_grad(t: Tensor) -> bool:  # a trainable leaf or a path to one
+def _needs_grad(t: Tensor) -> bool:
+    """A trainable leaf, a path to one, or a consumed node (so that a new
+    graph built on it reaches it and fails, rather than pruning it)."""
     return t.requires_grad or t._backward is not None
+
+
+def quiet_overflow():
+    """numpy's floating-point warnings off, entered once per forward (by
+    the model) and once per backward, not per op: each node's finiteness
+    check then reports an overflow as its one NumericError."""
+    return np.errstate(over="ignore", invalid="ignore", divide="ignore")
 
 
 def view_leaf(data: np.ndarray, requires_grad: bool) -> Tensor:
@@ -264,8 +297,16 @@ def _softmax_(x: np.ndarray) -> np.ndarray:
 
 
 def _softmax_grad_(g: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Gradient through softmax output ``s``, overwriting ``g``."""
-    g -= np.add.reduce(g * s, axis=-1, keepdims=True)
+    """Gradient through softmax output ``s``, overwriting ``g``. The row
+    sums of ``g * s`` are formed one leading-axis slice at a time, so the
+    product is never held whole."""
+    if g.ndim < 3:
+        rows = np.add.reduce(g * s, axis=-1, keepdims=True)
+    else:
+        rows = np.empty((*g.shape[:-1], 1))
+        for gi, si, out in zip(g, s, rows):
+            np.add.reduce(gi * si, axis=-1, keepdims=True, out=out)
+    g -= rows
     g *= s
     return g
 
@@ -318,7 +359,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
 
     def backward(g):
         gh = split(g)
-        dvh = np.swapaxes(p, -1, -2) @ gh
+        dv = np.empty((*p.shape[:-3], p.shape[-1], d))  # dV in its merged layout
+        np.matmul(np.swapaxes(p, -1, -2), gh, out=split(dv))
         ds = _softmax_grad_(gh @ np.swapaxes(vh, -1, -2), p)
         ds *= c
         dqh = ds @ kh
@@ -326,7 +368,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
         return (
             (q, merge(_unbroadcast(dqh, qh.shape))),
             (k, merge(_unbroadcast(dkh, kh.shape))),
-            (v, merge(_unbroadcast(dvh, vh.shape))),
+            (v, _unbroadcast(dv, v.data.shape)),
         )
 
     return _result(merge(p @ vh), (q, k, v), backward)

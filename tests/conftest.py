@@ -16,13 +16,19 @@ def no_process_left():
     the next test forks its own: a monkeypatch made in a test reaches the
     workers it forks. A child process left behind fails the test, and so
     does a worker-call flag left set, which would make every later
-    ``parallel_map`` run in-process, and tracemalloc left tracing, which
-    would slow every later test."""
+    ``parallel_map`` run in-process, tracemalloc left tracing, which
+    would slow every later test, and numpy's floating-point error
+    handling left changed, which would hide or raise later tests'
+    overflows."""
     tracing = tracemalloc.is_tracing()
+    errors = np.geterr()
     yield
     parallel.close_workers()
     if parallel._in_group.get():
         pytest.fail("the test left parallel._in_group set")
+    if np.geterr() != errors:
+        left = np.seterr(**errors)
+        pytest.fail(f"the test left numpy's error handling at {left}")
     if tracemalloc.is_tracing() and not tracing:
         tracemalloc.stop()
         pytest.fail("the test left tracemalloc tracing")

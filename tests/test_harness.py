@@ -876,6 +876,22 @@ def test_cli_diverging_run_is_one_numeric_error_line(tmp_path, monkeypatch, caps
         "numeric error: AdamW step 1 made parameter 'input.byte_proj.w' non-finite\n")
 
 
+@pytest.mark.parametrize("learning_rate", ["1e30", "1e100", "1e150"])
+def test_cli_overflowing_forward_is_one_numeric_error_line(tmp_path, capsys,
+                                                          learning_rate):
+    """Weights that stay finite but overflow a forward (layer norm, GELU,
+    attention scores, a linear) end the run with the node's one
+    ``numeric error`` line: numpy's warnings, which the test suite raises
+    as errors as ``python -W error`` does, are off inside a forward and a
+    backward."""
+    sets = [f"learning_rate={learning_rate}", "train_steps=3", "synth_train=8",
+            "synth_test=4"]
+    argv = ["train", "--out-dir", str(tmp_path / "run")]
+    assert main(argv + [arg for item in sets for arg in ("--set", item)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numeric error: ") and err.count("\n") == 1, err
+
+
 @pytest.mark.parametrize("setting", [
     "synth_train=100000000000000",
     "latent_count=10000000000000",

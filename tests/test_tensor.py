@@ -227,14 +227,39 @@ def test_backward_requires_scalar():
         T.add(x, x).backward()
 
 
-def test_backward_twice_returns_equal_gradients():
-    # tensors hold no gradient state, so nothing accumulates across calls
+def test_backward_of_a_rebuilt_loss_returns_equal_gradients():
+    # tensors hold no gradient state, so nothing accumulates across graphs
     x = leaf([2.0])
+    first = T.total(T.mul(x, x)).backward()
     loss = T.total(T.mul(x, x))
-    first, second = loss.backward(), loss.backward()
+    second = loss.backward()
     np.testing.assert_allclose(first[x], [4.0], atol=1e-15)
     np.testing.assert_array_equal(second[x], first[x])
     assert x.data.tolist() == [2.0] and loss.data == 4.0
+
+
+def test_backward_twice_is_a_usage_error():
+    x = leaf([2.0])
+    loss = T.total(T.mul(x, x))
+    loss.backward()
+    with pytest.raises(UsageError, match="already ran"):
+        loss.backward()
+
+
+def test_a_new_graph_reaching_a_consumed_node_is_a_usage_error():
+    """A consumed interior node is neither a constant nor a fresh path:
+    a new loss built on it fails when its backward reaches it."""
+    x = leaf([1.0, 2.0])
+    hidden = T.mul(x, x)
+    T.total(hidden).backward()
+    other = leaf([3.0, 4.0])
+    for loss in (T.total(hidden), T.total(T.add(T.mul(hidden, other), other))):
+        with pytest.raises(UsageError, match="already ran"):
+            loss.backward()
+    # the leaves are never consumed: a rebuilt graph backpropagates
+    grads = T.total(T.add(T.mul(T.mul(x, x), other), other)).backward()
+    np.testing.assert_array_equal(grads[x], [6.0, 16.0])
+    np.testing.assert_array_equal(grads[other], [2.0, 5.0])
 
 
 def test_backward_two_layer_net_fd():
