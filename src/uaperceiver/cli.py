@@ -9,12 +9,14 @@ Verbs:
 
 Config values come from a ``key = value`` file (``--config``); repeated
 ``--set key=value`` flags override file values, and ``--seed`` /
-``--out-dir`` are shorthands for the corresponding keys.
+``--out-dir`` are shorthands for the corresponding keys. Ctrl-C or
+SIGTERM ends a run with one ``interrupted`` line once its clean-up ran.
 """
 
 from __future__ import annotations
 
 import argparse
+import signal
 import sys
 
 from .errors import ConfigError, UAPError
@@ -63,6 +65,10 @@ def _print_report(report: MetricsReport) -> None:
     )
 
 
+def _terminate(signum, frame):  # SIGTERM as an interrupt, so clean-up runs
+    raise KeyboardInterrupt(signum)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="uaperceiver",
@@ -91,6 +97,7 @@ def main(argv=None) -> int:
     sub.add_argument("--out", required=True)
 
     args = parser.parse_args(argv)
+    previous = signal.signal(signal.SIGTERM, _terminate)
     try:
         if args.verb == "train":
             config = _config_from_args(args)
@@ -123,6 +130,11 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 3
+    except KeyboardInterrupt as exc:
+        print("interrupted", file=sys.stderr)
+        return 143 if exc.args == (signal.SIGTERM,) else 130  # 128 + the signal
+    finally:
+        signal.signal(signal.SIGTERM, previous)
     return 0
 
 

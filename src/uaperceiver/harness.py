@@ -14,6 +14,7 @@ import json
 import math
 import os
 import struct
+import tempfile
 import time
 import typing
 from dataclasses import dataclass
@@ -269,11 +270,19 @@ def save_checkpoint(path, store: ParamStore, echo: str) -> None:
 
 
 def _replace_file(path: Path, data: bytes) -> None:
-    """Write ``data`` to a temp file beside ``path``, then rename it over
-    ``path``: a crash leaves the old file or the new one, never a torn one."""
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(data)
-    os.replace(tmp, path)
+    """Write ``data`` to a temp file of its own beside ``path``, then rename
+    it over ``path``: a crash leaves the old file or the new one, never a
+    torn one, and a failed write removes its temp file."""
+    fd, tmp = tempfile.mkstemp(prefix=path.name + ".", suffix=".tmp", dir=path.parent)
+    os.close(fd)
+    try:
+        os.umask(umask := os.umask(0))  # the mask is read by setting it
+        os.chmod(tmp, 0o666 & ~umask)  # the mode open() gives, not mkstemp's 0600
+        Path(tmp).write_bytes(data)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def load_checkpoint(path) -> tuple[ParamStore, str]:

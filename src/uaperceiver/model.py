@@ -30,10 +30,10 @@ LN_EPS = 1e-5
 # training step one forward + backward per chunk of its batch
 # (strategies.chunk_gradients), and MC dropout one byte side per chunk
 # of test images (strategies._mc_probabilities). A training chunk peaks
-# at its forward graph plus one node's backward arrays, since backward
-# frees each node as it goes, so larger chunks raise peak memory in
-# proportion; a training graph of more images also runs slower once it
-# outgrows the cache.
+# at its forward graph (only what backward reads) plus one node's backward
+# arrays: 22.1 MiB traced for the default model at 16x16, 57.8 at 32x32x3.
+# Larger chunks raise peak memory in proportion, and a training graph of
+# more images runs slower once it outgrows the cache.
 FORWARD_CHUNK = 8
 
 # std of a unit normal truncated at +/-2; draws are rescaled by this so

@@ -144,6 +144,7 @@ def _serve(parent: int, requests, replies) -> None:
     exits without one."""
     _in_group.set(True)
     try:
+        signal.signal(signal.SIGINT, signal.SIG_IGN)  # a terminal's Ctrl-C: the parent's
         _die_with(parent)
         while True:
             try:

@@ -3,14 +3,19 @@
 The engine is deliberately small: arrays whose last two axes are
 matrices, any leading axes being batch axes (images, heads) that
 broadcast, and the dozen operations needed to express an attention
-network. ``linear`` and ``attention`` are fused single nodes, so a
-layer's graph holds only what its backward reads. Every operation
-validates that its result is finite; NaN/Inf anywhere is treated as an
-error state rather than silently propagated. Shape operations return
-views. Operations compute in place only on arrays they allocated: none
-writes into its inputs or into a gradient it receives, since gradients
-may alias. Tensors hold no gradient state: ``backward`` returns the
-gradients. A node's backward gives None to a parent needing no gradient.
+network. ``linear`` and ``attention`` are fused single nodes. A node is
+kept apart from the value it produced, so a graph holds only what its
+backward reads: an op's result holds its array and a ``_node``, which
+holds its parents' graph entries (a trainable leaf is its own, a
+constant has none) and a closure over the arrays and shapes its backward
+reads; a result no backward reads, such as a residual sum, is freed when
+the forward drops it. Every operation validates that its result is
+finite; NaN/Inf anywhere is treated as an error state rather than
+silently propagated. Shape operations return views. Operations compute
+in place only on arrays they allocated: none writes into its inputs or
+into a gradient it receives, since gradients may alias. Tensors hold no
+gradient state: ``backward`` returns the gradients. A node's backward
+returns its parents' gradients in order, None to one needing no gradient.
 ``backward`` is one-shot: it drops each node's closure and parents once
 the node has pushed its gradient, so a graph's arrays are freed as the
 backward goes and a training step peaks at its forward graph plus one
@@ -36,14 +41,10 @@ _GELU_A = 0.044715
 
 
 class Tensor:
-    """A node in the computation graph.
+    """A value in the computation graph: a leaf (``requires_grad`` if
+    trainable) or an op's result, whose ``_node`` is its graph entry."""
 
-    Leaf tensors carry ``requires_grad``; interior nodes are created by
-    the op helpers below and remember how to push gradients back to
-    their parents.
-    """
-
-    __slots__ = ("data", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "requires_grad", "_node")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.array(data, dtype=np.float64, copy=True)
@@ -51,8 +52,7 @@ class Tensor:
             raise NumericError("tensor initialized with non-finite values")
         self.data = arr
         self.requires_grad = bool(requires_grad)
-        self._parents: tuple = ()
-        self._backward = None
+        self._node = None
 
     @property
     def shape(self):
@@ -71,75 +71,73 @@ class Tensor:
         """Backpropagate a scalar loss; returns ``{leaf: gradient}`` for each
         ``requires_grad`` leaf it reaches. Read-only: gradients may alias.
 
-        One-shot: each interior node drops its backward closure and its
-        parents once it has pushed its gradient, so a forward array is
-        freed as soon as the last backward reading it has run. A second
-        call, or the backward of a new graph that reaches a consumed
-        node, raises UsageError; leaves are never consumed."""
+        One-shot: each node drops its backward closure and its parents
+        once it has pushed its gradient, so a saved array is freed as
+        soon as the last backward reading it has run. A second call, or
+        the backward of a new graph that reaches a consumed node, raises
+        UsageError; leaves are never consumed."""
         if self.data.size != 1:
             raise UsageError(
                 f"backward() requires a scalar, got shape {self.data.shape}"
             )
-        order = _toposort(self)
-        grads: dict[int, np.ndarray] = {id(self): np.ones_like(self.data)}
+        root = _entry(self)
+        order = _toposort(root)
+        grads: dict[int, np.ndarray] = {id(root): np.ones_like(self.data)}
         leaf_grads: dict[Tensor, np.ndarray] = {}
         with quiet_overflow():
             while order:
                 node = order.pop()
-                g = grads.pop(id(node), None)
-                backward = node._backward
-                if backward is None:  # a leaf, or a constant
-                    if g is not None and node.requires_grad:
-                        leaf_grads[node] = g.reshape(node.data.shape)
+                g = grads.pop(id(node))
+                if type(node) is Tensor:  # a trainable leaf
+                    leaf_grads[node] = g.reshape(node.data.shape)
                     continue
-                node._parents, node._backward = (), _consumed
-                for parent, contrib in backward(g):
-                    if not _needs_grad(parent):
-                        continue
-                    key = id(parent)
-                    if key in grads:
-                        grads[key] = grads[key] + contrib
-                    else:
-                        grads[key] = contrib
+                parents, backward = node.parents, node.backward
+                node.parents = node.backward = None  # consumed
+                for parent, contrib in zip(parents, backward(g)):
+                    if parent is not None:  # None: a constant
+                        key = id(parent)
+                        grads[key] = grads[key] + contrib if key in grads else contrib
         return leaf_grads
 
 
-def _consumed(g):
-    """The backward closure of a node whose graph has been backpropagated."""
-    raise UsageError(
-        "backward() reached a graph node whose backward already ran; "
-        "build the loss again"
-    )
+class _Node:
+    """An op's result's graph entry: its parents' entries and its backward
+    closure, both None once consumed."""
+
+    __slots__ = ("parents", "backward")
+
+    def __init__(self, parents: tuple, backward):
+        self.parents, self.backward = parents, backward
 
 
-def _toposort(root: Tensor) -> list:
-    """Topological order, the root last, iterative to tolerate deep
-    graphs; a consumed node is a UsageError here, before any backward
-    runs."""
-    order: list = []
-    seen: set = set()
-    stack: list = [(root, False)]
+def _entry(t: Tensor):
+    """``t``'s graph entry, or None for a constant. A consumed node stays an
+    entry, so a new graph reaching it fails rather than pruning it."""
+    return t if t.requires_grad else t._node
+
+
+def _toposort(root) -> list:
+    """Graph entries in topological order, the root last, iterative to
+    tolerate deep graphs; a consumed node is a UsageError here, before
+    any backward runs."""
+    order, seen, stack = [], set(), [(root, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
             order.append(node)
             continue
-        if id(node) in seen:
+        if node is None or id(node) in seen:  # a constant, or a node seen
             continue
-        if node._backward is _consumed:
-            _consumed(None)  # raises
+        parents = () if type(node) is Tensor else node.parents
+        if parents is None:
+            raise UsageError("backward() reached a graph node whose backward "
+                             "already ran; build the loss again")
         seen.add(id(node))
         stack.append((node, True))
-        for p in node._parents:
+        for p in parents:
             if id(p) not in seen:
                 stack.append((p, False))
     return order
-
-
-def _needs_grad(t: Tensor) -> bool:
-    """A trainable leaf, a path to one, or a consumed node (so that a new
-    graph built on it reaches it and fails, rather than pruning it)."""
-    return t.requires_grad or t._backward is not None
 
 
 def quiet_overflow():
@@ -155,19 +153,18 @@ def view_leaf(data: np.ndarray, requires_grad: bool) -> Tensor:
     out = Tensor.__new__(Tensor)
     out.data = data
     out.requires_grad = requires_grad
-    out._parents = ()
-    out._backward = None
+    out._node = None
     return out
 
 
 def _result(data: np.ndarray, parents: Sequence[Tensor], backward) -> Tensor:
-    """Build an interior node; prune the graph when no parent needs grads."""
+    """An op's result; it gets a node unless no parent needs a gradient."""
     if not np.isfinite(data).all():
         raise NumericError("operation produced non-finite values")
     out = view_leaf(data, False)
-    if any(_needs_grad(p) for p in parents):
-        out._parents = tuple(parents)
-        out._backward = backward
+    entries = tuple([p if p.requires_grad else p._node for p in parents])  # each _entry
+    if entries != (None,) * len(entries):
+        out._node = _Node(entries, backward)
     return out
 
 
@@ -196,25 +193,22 @@ def as_tensor(x) -> Tensor:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    data = a.data + b.data
+    sa, sb = a.data.shape, b.data.shape
 
     def backward(g):
-        return ((a, _unbroadcast(g, a.data.shape)), (b, _unbroadcast(g, b.data.shape)))
+        return _unbroadcast(g, sa), _unbroadcast(g, sb)
 
-    return _result(data, (a, b), backward)
+    return _result(a.data + b.data, (a, b), backward)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    data = a.data * b.data
+    x, y = a.data, b.data
 
     def backward(g):
-        return (
-            (a, _unbroadcast(g * b.data, a.data.shape)),
-            (b, _unbroadcast(g * a.data, b.data.shape)),
-        )
+        return _unbroadcast(g * y, x.shape), _unbroadcast(g * x, y.shape)
 
-    return _result(data, (a, b), backward)
+    return _result(x * y, (a, b), backward)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -228,16 +222,15 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise DimensionError(
             f"matmul inner extents disagree: {a.data.shape} x {b.data.shape}"
         )
-    data = a.data @ b.data
+    sa, sb = a.data.shape, b.data.shape
+    x = a.data if _entry(b) is not None else None  # read only for b's gradient
+    y = b.data if _entry(a) is not None else None
 
     def backward(g):
-        ga = (_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape)
-              if _needs_grad(a) else None)
-        gb = (_unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape)
-              if _needs_grad(b) else None)
-        return ((a, ga), (b, gb))
+        return (None if y is None else _unbroadcast(g @ np.swapaxes(y, -1, -2), sa),
+                None if x is None else _unbroadcast(np.swapaxes(x, -1, -2) @ g, sb))
 
-    return _result(data, (a, b), backward)
+    return _result(a.data @ b.data, (a, b), backward)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -250,14 +243,14 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         )
     data = x.data @ w.data
     data += b.data
+    sx, sw, sb = x.data.shape, w.data.shape, b.data.shape
+    xd = x.data if _entry(w) is not None else None  # read only for w's gradient
+    wt = w.data.T if _entry(x) is not None else None
 
     def backward(g):
-        gx = _unbroadcast(g @ w.data.T, x.data.shape) if _needs_grad(x) else None
-        return (
-            (x, gx),
-            (w, _unbroadcast(np.swapaxes(x.data, -1, -2) @ g, w.data.shape)),
-            (b, _unbroadcast(g, b.data.shape)),
-        )
+        return (None if wt is None else _unbroadcast(g @ wt, sx),
+                None if xd is None else _unbroadcast(np.swapaxes(xd, -1, -2) @ g, sw),
+                _unbroadcast(g, sb))
 
     return _result(data, (x, w, b), backward)
 
@@ -270,7 +263,7 @@ def transpose(a: Tensor, axes=None) -> Tensor:
     inverse = np.argsort(axes)
 
     def backward(g):
-        return ((a, g.transpose(inverse)),)
+        return (g.transpose(inverse),)
 
     return _result(a.data.transpose(axes), (a,), backward)
 
@@ -280,7 +273,7 @@ def reshape(a: Tensor, shape) -> Tensor:
     old = a.data.shape
 
     def backward(g):
-        return ((a, g.reshape(old)),)
+        return (g.reshape(old),)
 
     return _result(a.data.reshape(shape), (a,), backward)
 
@@ -317,7 +310,7 @@ def softmax(x: Tensor) -> Tensor:
     s = _softmax_(x.data.copy())
 
     def backward(g):
-        return ((x, _softmax_grad_(g.copy(), s)),)
+        return (_softmax_grad_(g.copy(), s),)
 
     return _result(s, (x,), backward)
 
@@ -327,8 +320,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
 
     q is (..., N, D), k and v are (..., M, D); leading axes broadcast, so
     one unbatched query set can attend to a batch of keys. Each head sees
-    D / heads features and the head outputs are concatenated. Only the
-    attention probabilities are kept for the backward pass.
+    D / heads features and the head outputs are concatenated. The backward
+    keeps the attention probabilities and q, k and v, not the output.
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
     d = q.data.shape[-1]
@@ -340,6 +333,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
         )
     dh = d // heads
     c = 1.0 / math.sqrt(dh)
+    sv = v.data.shape
 
     def split(a):
         """(..., rows, D) -> (..., H, rows, dh), a view."""
@@ -365,11 +359,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
         ds *= c
         dqh = ds @ kh
         dkh = np.swapaxes(np.swapaxes(qh, -1, -2) @ ds, -1, -2)
-        return (
-            (q, merge(_unbroadcast(dqh, qh.shape))),
-            (k, merge(_unbroadcast(dkh, kh.shape))),
-            (v, _unbroadcast(dv, v.data.shape)),
-        )
+        return (merge(_unbroadcast(dqh, qh.shape)), merge(_unbroadcast(dkh, kh.shape)),
+                _unbroadcast(dv, sv))
 
     return _result(merge(p @ vh), (q, k, v), backward)
 
@@ -401,7 +392,7 @@ def gelu(x: Tensor) -> Tensor:
         local *= 0.5
         local += tail
         local *= g
-        return ((x, local),)
+        return (local,)
 
     return _result(data, (x,), backward)
 
@@ -422,21 +413,22 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     inv += eps
     np.divide(1.0, np.sqrt(inv, out=inv), out=inv)  # 1 / sqrt(var + eps), in place
     xhat *= inv
-    data = xhat * gamma.data
+    gam = gamma.data
+    data = xhat * gam
     data += beta.data
 
     def backward(g):
         axes = tuple(range(g.ndim - 1))
         tmp = g * xhat
         ggamma = np.add.reduce(tmp, axis=axes)
-        gx = g * gamma.data
+        gx = g * gam
         np.multiply(gx, xhat, out=tmp)
         mean_gx = _mean(tmp)
         gx -= _mean(gx)
         np.multiply(xhat, mean_gx, out=tmp)
         gx -= tmp
         gx *= inv
-        return ((x, gx), (gamma, ggamma), (beta, np.add.reduce(g, axis=axes)))
+        return gx, ggamma, np.add.reduce(g, axis=axes)
 
     return _result(data, (x, gamma, beta), backward)
 
@@ -447,9 +439,10 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
 def total(a: Tensor) -> Tensor:
     """Sum of all elements, as a scalar tensor."""
     a = as_tensor(a)
+    shape = a.data.shape
 
     def backward(g):
-        return ((a, np.full_like(a.data, float(g))),)
+        return (np.full(shape, float(g)),)
 
     return _result(np.asarray(np.add.reduce(a.data, axis=None)), (a,), backward)
 
@@ -459,10 +452,10 @@ def mean_rows(a: Tensor) -> Tensor:
     a = as_tensor(a)
     if a.data.ndim < 2:
         raise DimensionError("mean_rows expects a matrix")
-    m = a.data.shape[-2]
+    shape = a.data.shape
 
     def backward(g):
-        return ((a, np.broadcast_to(g / m, a.data.shape).copy()),)
+        return (np.broadcast_to(g / shape[-2], shape).copy(),)
 
     return _result(_mean(a.data, axis=-2), (a,), backward)
 
@@ -484,6 +477,6 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
     def backward(g):
         p = np.exp(logp)
         p[np.arange(n), labels] -= 1.0
-        return ((logits, p * (float(g) / n)),)
+        return (p * (float(g) / n),)
 
     return _result(data, (logits,), backward)

@@ -4,7 +4,13 @@ evaluation, reports, and the command-line front end."""
 import csv
 import dataclasses
 import json
+import os
+import re
 import shutil
+import signal
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -892,6 +898,84 @@ def test_cli_overflowing_forward_is_one_numeric_error_line(tmp_path, capsys,
     assert err.startswith("numeric error: ") and err.count("\n") == 1, err
 
 
+def wait_for(condition, what: str, seconds: float = 60.0):
+    """Poll ``condition()`` until it returns a true value, and return it."""
+    deadline = time.monotonic() + seconds
+    while not (found := condition()):
+        assert time.monotonic() < deadline, f"timed out waiting for {what}"
+        time.sleep(0.01)
+    return found
+
+
+def catches_sigterm(pid: int) -> bool:
+    """Whether process ``pid`` has a handler for SIGTERM (Linux)."""
+    status = Path(f"/proc/{pid}/status").read_text()
+    caught = int(re.search(r"^SigCgt:\s*([0-9a-f]+)$", status, re.M).group(1), 16)
+    return bool(caught >> (signal.SIGTERM - 1) & 1)
+
+
+def children(pid: int) -> list[int]:
+    return [int(c) for c in Path(f"/proc/{pid}/task/{pid}/children").read_text().split()]
+
+
+def no_process_in_group(pgid: int) -> bool:
+    try:
+        os.killpg(pgid, 0)
+    except ProcessLookupError:
+        return True
+    return False
+
+
+@pytest.mark.skipif(not Path(f"/proc/{os.getpid()}/task/{os.getpid()}/children").exists(),
+                    reason="reads the process tree from Linux /proc")
+@pytest.mark.parametrize("signum", [signal.SIGINT, signal.SIGTERM],
+                         ids=["SIGINT", "SIGTERM"])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_cli_interrupted_run_is_one_line(tmp_path, workers, signum):
+    """Ctrl-C (SIGINT to the whole process group, as a terminal sends it)
+    or SIGTERM (to the main process, as ``timeout`` sends it) during
+    training ends the run with one ``interrupted`` line and exit status
+    128 + the signal number: workers ignore SIGINT, so none ends as a
+    worker error, and the parent kills and reaps them. No ``out_dir`` is
+    created and no process of the run is left."""
+    cores = sorted(os.sched_getaffinity(0))[:workers]
+    if len(cores) < workers:
+        pytest.skip(f"needs {workers} usable cores")
+    src = str(Path(ua.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH", "")) if p)}
+    out = tmp_path / "run"
+    sets = ["train_steps=1000000", "synth_train=32", "synth_test=4", "batch_size=16"]
+    argv = [sys.executable, "-m", "uaperceiver", "train", "--out-dir", str(out)]
+    run = subprocess.Popen(argv + [a for item in sets for a in ("--set", item)],
+                           env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                           text=True, start_new_session=True,
+                           preexec_fn=lambda: os.sched_setaffinity(0, cores))
+    try:
+        wait_for(lambda: run.poll() is not None or catches_sigterm(run.pid),
+                 "the CLI's SIGTERM handler")
+        forked = wait_for(lambda: run.poll() is not None or children(run.pid),
+                          "a worker") if workers > 1 else []
+        assert run.poll() is None, run.communicate()
+        if signum == signal.SIGINT:
+            for pid in forked:  # a worker that took it would end as a worker error
+                os.kill(pid, signum)
+            time.sleep(0.5 if forked else 0.0)
+            assert run.poll() is None, run.communicate()
+            os.killpg(run.pid, signum)
+        else:
+            run.send_signal(signum)
+        out_text, err = run.communicate(timeout=60)
+    finally:
+        if run.poll() is None:
+            os.killpg(run.pid, signal.SIGKILL)
+            run.wait()
+    assert (run.returncode, err, out_text) == (128 + signum, "interrupted\n", "")
+    assert len(forked) == workers - 1
+    assert not out.exists()
+    wait_for(lambda: no_process_in_group(run.pid), "the run's processes to end", 10.0)
+
+
 @pytest.mark.parametrize("setting", [
     "synth_train=100000000000000",
     "latent_count=10000000000000",
@@ -1122,6 +1206,7 @@ def test_crash_during_run_train_never_leaves_a_torn_run(tmp_path, monkeypatch):
             with pytest.raises(OSError, match="simulated crash"):
                 ua.run_train(tiny_run_config(out_dir, strategy="deep"))
         assert written[-1].endswith(".tmp")
+        assert not list(out_dir.glob("*.tmp"))  # the failed write removed its file
         try:
             report = ua.run_evaluate(out_dir)
         except UAPError:
@@ -1129,7 +1214,7 @@ def test_crash_during_run_train_never_leaves_a_torn_run(tmp_path, monkeypatch):
         assert without_wall_clock(report) == expected
     # predictor.json is the last file written, so no crash leaves a run
     # that evaluates, and none leaves the earlier run's manifest behind
-    assert written[-1] == "predictor.json.tmp"
+    assert written[-1].startswith("predictor.json.") and written[-1].endswith(".tmp")
     with pytest.raises(FormatError, match="did not finish"):
         ua.run_evaluate(out_dir)
 
@@ -1139,9 +1224,19 @@ def test_crash_during_emit_report_keeps_the_earlier_report(tmp_path, monkeypatch
     path = tmp_path / f"report.{fmt}"
     ua.emit_report([sample_report()], fmt, path)
     earlier = path.read_bytes()
+    # another writer's temp file under the old fixed name is not touched
+    other = tmp_path / f"report.{fmt}.tmp"
+    other.write_bytes(b"another writer")
     with monkeypatch.context() as patch:
         written = torn_write_at(patch, 0)
         with pytest.raises(OSError, match="simulated crash"):
             ua.emit_report([sample_report(seed=1)], fmt, path)
-    assert written == [f"report.{fmt}.tmp"]
+    [name] = written
+    assert name.startswith(f"report.{fmt}.") and name.endswith(".tmp") and name != other.name
     assert path.read_bytes() == earlier
+    assert sorted(tmp_path.iterdir()) == sorted([path, other])
+    assert other.read_bytes() == b"another writer"
+    # a written file gets the mode a plain open() gives it
+    plain = tmp_path / "plain"
+    plain.write_bytes(b"")
+    assert path.stat().st_mode == plain.stat().st_mode

@@ -2,6 +2,7 @@
 placement and MC dropout."""
 
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -595,8 +596,10 @@ def test_chunk_gradients_holds_one_chunk_graph_at_a_time():
 
 def kept_graph_backward(loss):
     """``Tensor.backward`` as it was before it freed the graph: the whole
-    reverse topological order is walked with every node kept."""
-    order, seen, stack = [], set(), [(loss, False)]
+    reverse topological order of graph entries is walked with every node
+    kept."""
+    root = T._entry(loss)
+    order, seen, stack = [], set(), [(root, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
@@ -606,20 +609,21 @@ def kept_graph_backward(loss):
             continue
         seen.add(id(node))
         stack.append((node, True))
-        stack.extend((p, False) for p in node._parents if id(p) not in seen)
-    grads = {id(loss): np.ones_like(loss.data)}
+        parents = () if isinstance(node, T.Tensor) else node.parents
+        stack.extend((p, False) for p in parents if p is not None and id(p) not in seen)
+    grads = {id(root): np.ones_like(loss.data)}
     leaf_grads = {}
     for node in reversed(order):
         g = grads.pop(id(node), None)
         if g is None:
             continue
-        if node.requires_grad:
+        if isinstance(node, T.Tensor):  # a trainable leaf
             leaf_grads[node] = g.reshape(node.data.shape)
-        if node._backward is not None:
-            for parent, contrib in node._backward(g):
-                if T._needs_grad(parent):
-                    key = id(parent)
-                    grads[key] = grads[key] + contrib if key in grads else contrib
+            continue
+        for parent, contrib in zip(node.parents, node.backward(g)):
+            if parent is not None:
+                key = id(parent)
+                grads[key] = grads[key] + contrib if key in grads else contrib
     return leaf_grads
 
 
@@ -651,11 +655,8 @@ def two_temporaries_attention(q, k, v, heads):
         ds *= c
         dqh = ds @ kh
         dkh = np.swapaxes(np.swapaxes(qh, -1, -2) @ ds, -1, -2)
-        return (
-            (q, merge(T._unbroadcast(dqh, qh.shape))),
-            (k, merge(T._unbroadcast(dkh, kh.shape))),
-            (v, merge(T._unbroadcast(dvh, vh.shape))),
-        )
+        return (merge(T._unbroadcast(dqh, qh.shape)), merge(T._unbroadcast(dkh, kh.shape)),
+                merge(T._unbroadcast(dvh, vh.shape)))
 
     return T._result(merge(p @ vh), (q, k, v), backward)
 
@@ -677,14 +678,48 @@ def test_one_shot_backward_is_bit_identical_to_the_kept_graph(config, batch,
         grad, np.concatenate([found[p].ravel() for _, p in params.items()]))
 
 
+def test_the_forward_graph_frees_arrays_no_backward_reads(monkeypatch):
+    """The byte projection feeding ln_kv and every residual sum are read
+    by no backward (layer_norm keeps its normalized input, add and
+    mean_rows only shapes), so each is freed while the loss built on it
+    is alive."""
+    config = ua.PerceiverConfig()
+    data = ua.synth_dataset(3, 2)
+    params = init_params(config, 4)
+    layer_norm, add = T.layer_norm, T.add
+    projections, sums = [], []
+
+    def recording_layer_norm(x, gamma, beta, eps):
+        if gamma is params["cross_shared.ln_kv.gamma"]:
+            projections.append(weakref.ref(x.data))
+        return layer_norm(x, gamma, beta, eps)
+
+    def recording_add(a, b):
+        out = add(a, b)
+        sums.append(weakref.ref(out.data))
+        return out
+
+    monkeypatch.setattr(T, "layer_norm", recording_layer_norm)
+    monkeypatch.setattr(T, "add", recording_add)
+    loss = batch_loss(config, params, data.images, data.labels)
+    # one shared ln_kv; per repeat a cross residual and two per tower layer
+    assert len(projections) == 1 and len(sums) == config.depth_repeats * 5
+    alive = [ref() is not None for ref in projections + sums]
+    assert not any(alive), alive
+    assert len(loss.backward()) == len(dict(params.items()))
+
+
 @pytest.mark.parametrize("config, bound_mib", [
-    (ua.PerceiverConfig(), 26.5),
-    (ua.PerceiverConfig(height=32, width=32, channels=3, num_classes=10), 65.0),
+    (ua.PerceiverConfig(), 23.0),
+    (ua.PerceiverConfig(height=32, width=32, channels=3, num_classes=10), 59.5),
 ], ids=["16x16", "32x32x3"])
 def test_a_training_chunk_frees_its_graph_during_backward(config, bound_mib):
     """One default-model 8-image chunk peaks near its forward graph
-    (23.8 MiB at 16x16, 52.6 MiB at 32x32x3): a backward that kept every
-    forward array until it returned peaked at 31.95 and 82.0 MiB."""
+    (20.3 MiB at 16x16, 46.1 MiB at 32x32x3), which holds only what its
+    backward reads: a backward that kept every forward array until it
+    returned peaked at 31.95 and 82.0 MiB, and one that freed them as it
+    went, over a graph whose nodes kept their own outputs, at 25.8 and
+    63.1 MiB."""
     data = ua.synth_dataset(3, FORWARD_CHUNK, resolution=config.height,
                             num_classes=config.num_classes, channels=config.channels)
     params = init_params(config, 4)

@@ -481,15 +481,17 @@ def test_constant_inputs_get_no_gradient_product():
     x = T.Tensor(rng.normal(size=(2, 3, 4)))  # constant features
     w, b = leaf(rng.normal(size=(4, 5))), leaf(rng.normal(size=5))
     g = rng.normal(size=(2, 3, 5))
-    (px, gx), (pw, gw), (pb, gb) = T.linear(x, w, b)._backward(g)
-    assert px is x and gx is None
+    node = T.linear(x, w, b)._node
+    gx, gw, gb = node.backward(g)
+    assert node.parents[0] is None and gx is None  # x, a constant, has no entry
+    assert node.parents[1] is w and node.parents[2] is b
     np.testing.assert_array_equal(gw, (np.swapaxes(x.data, -1, -2) @ g).sum(axis=0))
     np.testing.assert_array_equal(gb, g.sum(axis=0).sum(axis=0))
     a, c = T.Tensor(rng.normal(size=(3, 4))), leaf(rng.normal(size=(4, 5)))
-    (_, ga), (_, gc) = T.matmul(a, c)._backward(g[0])
+    ga, gc = T.matmul(a, c)._node.backward(g[0])
     assert ga is None
     np.testing.assert_array_equal(gc, a.data.T @ g[0])
-    (_, ga), (_, gc) = T.matmul(c, T.Tensor(rng.normal(size=(5, 2))))._backward(
+    ga, gc = T.matmul(c, T.Tensor(rng.normal(size=(5, 2))))._node.backward(
         rng.normal(size=(4, 2)))
     assert ga is not None and gc is None
     grads = T.total(T.mul(T.linear(x, w, b), T.Tensor(g))).backward()
@@ -547,23 +549,23 @@ def test_kernels_bit_equal_to_reference_expressions():
         out = T.softmax(xs)
         s, gx = reference_softmax(x, g)
         np.testing.assert_array_equal(out.data, s)
-        np.testing.assert_array_equal(out._backward(g)[0][1], gx)
+        np.testing.assert_array_equal(out._node.backward(g)[0], gx)
         out = T.gelu(xs)
         y, gx = reference_gelu(x, g)
         np.testing.assert_array_equal(out.data, y)
-        np.testing.assert_array_equal(out._backward(g)[0][1], gx)
+        np.testing.assert_array_equal(out._node.backward(g)[0], gx)
         gamma = rng.normal(size=shape[-1])
         beta = rng.normal(size=shape[-1])
         out = T.layer_norm(xs, leaf(gamma), leaf(beta))
         y, *grads = reference_layer_norm(x, g, gamma, beta)
         np.testing.assert_array_equal(out.data, y)
-        for (_, got), want in zip(out._backward(g), grads):
+        for got, want in zip(out._node.backward(g), grads, strict=True):
             np.testing.assert_array_equal(got, want)
         if len(shape) > 1:
             out = T.mean_rows(xs)
             np.testing.assert_array_equal(out.data, x.mean(axis=-2, keepdims=True))
             g_row = g.mean(axis=-2, keepdims=True)
-            np.testing.assert_array_equal(out._backward(g_row)[0][1],
+            np.testing.assert_array_equal(out._node.backward(g_row)[0],
                                           np.broadcast_to(g_row / shape[-2], shape))
 
 
@@ -574,7 +576,7 @@ def test_gelu_bit_equal_across_magnitudes():
     y, gx = reference_gelu(v, g)
     out = T.gelu(T.Tensor(v, requires_grad=True))
     np.testing.assert_array_equal(out.data, y)
-    np.testing.assert_array_equal(out._backward(g)[0][1], gx)
+    np.testing.assert_array_equal(out._node.backward(g)[0], gx)
 
 
 def test_ops_leave_inputs_and_received_gradients_unchanged():
@@ -586,10 +588,10 @@ def test_ops_leave_inputs_and_received_gradients_unchanged():
     nodes = [T.softmax(x), T.gelu(x), T.layer_norm(x, gamma, beta), T.linear(x, w, b),
              T.attention(x, k, k, 2)]
     before = [t.data.copy() for t in (x, k, w, b, gamma, beta)]
-    for node in nodes:
-        g = rng.normal(size=node.shape)
+    for out in nodes:
+        g = rng.normal(size=out.shape)
         kept = g.copy()
-        node._backward(g)
+        out._node.backward(g)
         np.testing.assert_array_equal(g, kept)
     for t, old in zip((x, k, w, b, gamma, beta), before):
         np.testing.assert_array_equal(t.data, old)
