@@ -41,14 +41,6 @@ class Dataset:
     def __len__(self) -> int:
         return self.images.shape[0]
 
-    def subset(self, indices, split: str | None = None) -> "Dataset":
-        return replace(
-            self,
-            images=self.images[indices],
-            labels=self.labels[indices],
-            split=self.split if split is None else split,
-        )
-
 
 def load_cifar(path, variant: str) -> Dataset:
     """Parse a CIFAR binary batch file (bit-deterministic)."""
@@ -184,15 +176,6 @@ def calibration_rows(n: int, seed: int, fraction: float = 0.1
         raise UsageError("calibration split would consume the whole dataset")
     order = shuffled_indices(n, derive_seed(seed, 0x5EED))
     return order[: n - n_cal], order[n - n_cal :]
-
-
-def split_calibration(dataset: Dataset, seed: int, fraction: float = 0.1
-                      ) -> tuple[Dataset, Dataset]:
-    """The ``calibration_rows`` split, each side copied into its own
-    Dataset."""
-    train_rows, calib_rows = calibration_rows(len(dataset), seed, fraction)
-    return (dataset.subset(train_rows, split="train"),
-            dataset.subset(calib_rows, split="calibration"))
 
 
 # ---- pixel permutation ----------------------------------------------

@@ -5,11 +5,15 @@ Training writes one checkpoint per predictor member, a JSON manifest,
 and a step log into the output directory; evaluation rebuilds the
 predictor from disk and emits a metrics report. Everything downstream
 of (config, seeds) is bit-reproducible.
+
+Each strategy is one row of ``_STRATEGY_ROWS`` (its own config checks,
+schedule and training): adding a strategy means adding one row.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -51,15 +55,6 @@ from .strategies import (
     swa_train,
     train_member,
 )
-
-STRATEGIES = ("single", "deep", "swa", "snapshot", "fast", "mc")
-# config counts that only one strategy reads; each must be >= 1 under it
-STRATEGY_COUNTS = {
-    "deep": ("ensemble_size",),
-    "swa": ("pretrain_steps",),
-    "fast": ("pretrain_steps", "fast_cycles", "fast_steps_per_cycle"),
-    "mc": ("mc_samples",),
-}
 
 # predictor.json holds every Predictor field but config and members by
 # name, next to the "members" checkpoint files and the
@@ -133,11 +128,7 @@ class RunConfig(PerceiverConfig):
             raise ConfigError(f"{self.dataset} needs height, width, channels, "
                               f"num_classes = {needed}")
         self._at_least(1, "batch_size", "train_steps", "synth_train", "synth_test")
-        self._at_least(1, *STRATEGY_COUNTS.get(self.strategy, ()))
-        if self.strategy == "mc" and not 0.0 <= self.mc_delta <= 1.0:
-            raise ConfigError(f"mc_delta must lie in [0, 1], got {self.mc_delta}")
-        if self.strategy == "snapshot":
-            self._at_least(0, "snapshot_last")
+        _STRATEGY_ROWS[self.strategy].check(self)
         if not 0.0 <= self.synth_noise < math.inf:
             raise ConfigError(
                 f"synth_noise must be finite and >= 0, got {self.synth_noise}")
@@ -158,32 +149,13 @@ class RunConfig(PerceiverConfig):
                                   for f in dataclasses.fields(PerceiverConfig)})
 
     def schedule(self) -> LRSchedule:
-        """The learning-rate schedule of the configured strategy (after
-        pretraining, for swa and fast)."""
-        lr = self.learning_rate
-        if self.strategy == "swa":
-            return LRSchedule("swa_linear", lr, self.lr_low, self.swa_steps,
-                              self.swa_cycle)
-        if self.strategy == "snapshot":
-            return LRSchedule("snapshot_cosine", lr, 0.0, self.train_steps,
-                              self.snapshot_cycles)
-        if self.strategy == "fast":
-            return LRSchedule("fast_cyclic", lr, self.fast_lr_low,
-                              self.fast_cycles * self.fast_steps_per_cycle,
-                              self.fast_cycles)
-        return LRSchedule("constant", lr, lr, self.train_steps, 1)
+        """The strategy's learning-rate schedule (after pretraining, if any)."""
+        return _STRATEGY_ROWS[self.strategy].schedule(self)
 
-    def train_settings(self, mc_delta: float = 0.0) -> TrainSettings:
-        return TrainSettings(
-            batch_size=self.batch_size,
-            adamw=AdamWSettings(
-                beta1=self.beta1,
-                beta2=self.beta2,
-                eps=self.adam_eps,
-                weight_decay=self.weight_decay,
-            ),
-            mc_delta=mc_delta,
-        )
+    def train_settings(self) -> TrainSettings:
+        return TrainSettings(self.batch_size, AdamWSettings(
+            beta1=self.beta1, beta2=self.beta2, eps=self.adam_eps,
+            weight_decay=self.weight_decay))
 
 
 _TYPES = typing.get_type_hints(RunConfig)  # field name -> type
@@ -238,6 +210,87 @@ def config_echo(config: RunConfig) -> str:
         for f in dataclasses.fields(RunConfig)
     ]
     return "\n".join(lines) + "\n"
+
+
+# ---- strategies ------------------------------------------------------
+
+
+class _Strategy(typing.NamedTuple):
+    check: typing.Callable  # (config): ConfigError for what only it forbids
+    schedule: typing.Callable  # (config) -> LRSchedule, after any pretraining
+    train: typing.Callable  # (config, model, data, schedule, settings) -> predictor, logs
+
+
+def _check_mc(config: RunConfig) -> None:
+    config._at_least(1, "mc_samples")
+    if not 0.0 <= config.mc_delta <= 1.0:
+        raise ConfigError(f"mc_delta must lie in [0, 1], got {config.mc_delta}")
+
+
+def _check_snapshot(config: RunConfig) -> None:
+    config._at_least(1, "snapshot_cycles")
+    config._at_least(0, "snapshot_last")
+    cycles, steps, last = config.snapshot_cycles, config.train_steps, config.snapshot_last
+    if steps % cycles or last > cycles:  # else fewer snapshots than it names
+        raise ConfigError(f"snapshot_cycles {cycles} must divide train_steps {steps} "
+                          f"and be >= snapshot_last {last}")
+
+
+def _constant(config: RunConfig, steps: int | None = None) -> LRSchedule:
+    lr = config.learning_rate
+    return LRSchedule("constant", lr, lr, steps or config.train_steps, 1)
+
+
+def _train_single(config, model, data, schedule, settings):
+    # the plain baseline: one model, no temperature scaling
+    store, _, log = train_member(model, data, schedule, derive_seed(config.seed, 0),
+                                 settings, fit_temperature=False)
+    return Predictor("single", model, [store]), [log]
+
+
+def _train_mc(config, model, data, schedule, settings):
+    single, logs = _train_single(config, model, data, schedule,
+                                 dataclasses.replace(settings, mc_delta=config.mc_delta))
+    return Predictor("mc_dropout", model, single.members, mc_delta=config.mc_delta,
+                     mc_samples=config.mc_samples,
+                     mc_seed=derive_seed(config.seed, 0xAB)), logs
+
+
+def _train_snapshot(config, model, data, schedule, settings):
+    predictor, log = snapshot_train(model, config.seed, data, schedule, settings,
+                                    average_last=config.snapshot_last or None)
+    return predictor, [log]
+
+
+def _after_pretraining(train_from, config, model, data, schedule, settings):
+    """``train_from`` (swa_train or fast_train) continuing the single
+    baseline trained for pretrain_steps."""
+    single, logs = _train_single(config, model, data,
+                                 _constant(config, config.pretrain_steps), settings)
+    predictor, log = train_from(model, single.members[0], data, schedule,
+                                derive_seed(config.seed, 1), settings)
+    return predictor, [*logs, log]
+
+
+_STRATEGY_ROWS = {
+    "single": _Strategy(lambda c: None, _constant, _train_single),
+    "deep": _Strategy(lambda c: c._at_least(1, "ensemble_size"), _constant,
+                      lambda c, model, *rest: deep_ensemble_train(
+                          model, c.ensemble_size, c.seed, *rest)),
+    "swa": _Strategy(lambda c: c._at_least(1, "pretrain_steps"), lambda c: LRSchedule(
+        "swa_linear", c.learning_rate, c.lr_low, c.swa_steps, c.swa_cycle),
+        functools.partial(_after_pretraining, swa_train)),
+    "snapshot": _Strategy(_check_snapshot, lambda c: LRSchedule(
+        "snapshot_cosine", c.learning_rate, 0.0, c.train_steps, c.snapshot_cycles),
+        _train_snapshot),
+    "fast": _Strategy(
+        lambda c: c._at_least(1, "pretrain_steps", "fast_cycles", "fast_steps_per_cycle"),
+        lambda c: LRSchedule("fast_cyclic", c.learning_rate, c.fast_lr_low,
+                             c.fast_cycles * c.fast_steps_per_cycle, c.fast_cycles),
+        functools.partial(_after_pretraining, fast_train)),
+    "mc": _Strategy(_check_mc, _constant, _train_mc),
+}
+STRATEGIES = tuple(_STRATEGY_ROWS)
 
 
 # ---- checkpoints -----------------------------------------------------
@@ -381,52 +434,6 @@ class RunResult:
     member_files: list[str]
 
 
-def _train_predictor(config: RunConfig, train: Dataset
-                     ) -> tuple[Predictor, list[TrainRunLog]]:
-    model = config.model_config()
-    settings = config.train_settings()
-    schedule = config.schedule()
-
-    if config.strategy == "single":
-        # the plain baseline: one model, no temperature scaling
-        store, _, log = train_member(
-            model, train, schedule, derive_seed(config.seed, 0), settings,
-            fit_temperature=False,
-        )
-        return Predictor("single", model, [store]), [log]
-    if config.strategy == "deep":
-        return deep_ensemble_train(
-            model, config.ensemble_size, config.seed, train, schedule, settings,
-        )
-    if config.strategy == "mc":
-        store, _, log = train_member(
-            model, train, schedule, derive_seed(config.seed, 0),
-            config.train_settings(mc_delta=config.mc_delta), fit_temperature=False,
-        )
-        predictor = Predictor(
-            "mc_dropout", model, [store], mc_delta=config.mc_delta,
-            mc_samples=config.mc_samples, mc_seed=derive_seed(config.seed, 0xAB),
-        )
-        return predictor, [log]
-    if config.strategy == "snapshot":
-        predictor, log = snapshot_train(
-            model, config.seed, train, schedule, settings,
-            average_last=config.snapshot_last or None,
-        )
-        return predictor, [log]
-
-    # swa and fast both start from a conventionally pretrained solution
-    lr = config.learning_rate
-    pretrained, _, pre_log = train_member(
-        model, train, LRSchedule("constant", lr, lr, config.pretrain_steps, 1),
-        derive_seed(config.seed, 0), settings, fit_temperature=False,
-    )
-    train_from = swa_train if config.strategy == "swa" else fast_train
-    predictor, log = train_from(model, pretrained, train, schedule,
-                                derive_seed(config.seed, 1), settings)
-    return predictor, [pre_log, log]
-
-
 def run_train(config: RunConfig) -> RunResult:
     """Train the configured strategy and persist checkpoints + run log.
     ``out_dir`` is created once training has finished, so a run that
@@ -436,7 +443,8 @@ def run_train(config: RunConfig) -> RunResult:
     if config.normalize:
         stats = channel_stats(train)
         train = standardize(train, stats)
-    predictor, logs = _train_predictor(config, train)
+    predictor, logs = _STRATEGY_ROWS[config.strategy].train(
+        config, config.model_config(), train, config.schedule(), config.train_settings())
 
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

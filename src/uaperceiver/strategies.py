@@ -278,8 +278,7 @@ def deep_ensemble_train(
                           (config, dataset, schedule, base_seed, settings),
                           range(ensemble_size))
     members, temps, logs = (list(column) for column in zip(*chain(*shares)))
-    kind = "deep_ensemble" if ensemble_size > 1 else "single"
-    return Predictor(kind, config, members, temperatures=temps), logs
+    return Predictor("deep_ensemble", config, members, temperatures=temps), logs
 
 
 def _train_members(config: PerceiverConfig, dataset: Dataset, schedule: LRSchedule,

@@ -1,5 +1,7 @@
 """Data ingestion, synthetic generation, batching, and permutation."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,10 +9,10 @@ import uaperceiver as ua
 from uaperceiver.data import (
     _class_pattern,
     apply_permutation,
+    calibration_rows,
     channel_stats,
     iter_batches,
     spatial_permutation,
-    split_calibration,
     standardize,
 )
 from uaperceiver.errors import DimensionError, FormatError, UsageError
@@ -194,7 +196,9 @@ def test_batches_match_fisher_yates(tiny_dataset):
 
 def test_batches_of_rows_equal_batches_of_their_copy(tiny_dataset):
     rows = shuffled_indices(len(tiny_dataset), 9)[:17]
-    copied = ua.make_batches(tiny_dataset.subset(rows), 5, 11)
+    copy = dataclasses.replace(tiny_dataset, images=tiny_dataset.images[rows],
+                               labels=tiny_dataset.labels[rows])
+    copied = ua.make_batches(copy, 5, 11)
     gathered = list(iter_batches(tiny_dataset, 5, 11, rows))
     assert [len(labels) for _, labels in gathered] == [5, 5, 5, 2]
     for (images, labels), (want_images, want_labels) in zip(gathered, copied, strict=True):
@@ -225,20 +229,16 @@ def test_test_split_uses_train_stats():
     np.testing.assert_array_equal(normalized.images, expected)
 
 
-def test_split_calibration_sizes():
-    ds = ua.synth_dataset(7, 100)
-    train, calib = split_calibration(ds, 0)
+def test_calibration_rows_sizes():
+    train, calib = calibration_rows(100, 0)
     assert len(train) == 90 and len(calib) == 10
-    assert calib.split == "calibration"
     # disjoint and exhaustive
-    joined = np.concatenate([train.labels, calib.labels])
-    assert sorted(joined) == sorted(ds.labels)
+    assert sorted(np.concatenate([train, calib])) == list(range(100))
 
 
-def test_split_calibration_rejects_tiny():
-    ds = ua.synth_dataset(8, 1)
+def test_calibration_rows_rejects_tiny():
     with pytest.raises(UsageError):
-        split_calibration(ds, 0)
+        calibration_rows(1, 0)
 
 
 # ---- pixel permutation ----------------------------------------------
@@ -277,9 +277,3 @@ def test_dataset_validation():
     with pytest.raises(UsageError):
         ua.Dataset(np.zeros((2, 4, 4, 1)), np.array([0, 5]), 2, "x")
 
-
-def test_dataset_subset(tiny_dataset):
-    sub = tiny_dataset.subset([0, 2, 4], split="probe")
-    assert len(sub) == 3
-    assert sub.split == "probe"
-    np.testing.assert_array_equal(sub.images[1], tiny_dataset.images[2])

@@ -172,6 +172,10 @@ def test_model_config_is_the_model_prefix():
     ("strategy = mc\nmc_delta = 1.5\n", "mc_delta"),
     ("strategy = snapshot\nsnapshot_cycles = 3\nsnapshot_last = -1\n",
      "snapshot_last"),
+    ("strategy = snapshot\ntrain_steps = 10\nsnapshot_cycles = 4\n",
+     "snapshot_cycles 4 must divide train_steps 10"),
+    ("strategy = snapshot\nsnapshot_cycles = 4\nsnapshot_last = 5\n",
+     "be >= snapshot_last 5"),
     ("synth_noise = -1\n", "synth_noise"),
     ("synth_noise = inf\n", "synth_noise"),
     ("synth_contrast = nan\n", "synth_contrast"),
@@ -201,6 +205,7 @@ def test_model_config_is_the_model_prefix():
         "byte-dim", "channels", "num-bands", "num-classes", "batch-size",
         "train-steps", "synth-train", "synth-test", "ensemble-size",
         "fast-cycles", "pretrain-steps", "mc-delta", "snapshot-last",
+        "snapshot-partial-cycle", "snapshot-last-beyond-cycles",
         "synth-noise", "synth-noise-inf", "synth-contrast-nan", "synth-contrast-inf",
         "beta2", "beta1-negative", "beta1-one", "adam-eps", "weight-decay",
         "weight-decay-inf", "adam-eps-inf", "nan-lr", "fast-lr-low",
@@ -462,19 +467,22 @@ def test_logged_lr_trace_matches_schedule(tmp_path):
     assert [tuple(s) for s in payload[0]["steps"]] == log.steps
 
 
-@pytest.mark.parametrize("strategy,expected_members", [
-    ("single", 1),
-    ("deep", 2),
-    ("swa", 1),
-    ("snapshot", 3),
-    ("fast", 3),
-    ("mc", 1),
-])
-def test_each_strategy_round_trips(tmp_path, strategy, expected_members):
-    config = tiny_run_config(tmp_path, strategy=strategy,
+@pytest.mark.parametrize("strategy,expected_members,kind", [
+    ("single", 1, "single"),
+    ("deep", 2, "deep_ensemble"),
+    ("deep", 1, "deep_ensemble"),
+    ("swa", 1, "swa"),
+    ("snapshot", 3, "snapshot"),
+    ("fast", 3, "fast"),
+    ("mc", 1, "mc_dropout"),
+], ids=["single-1", "deep-2", "deep-1", "swa-1", "snapshot-3", "fast-3", "mc-1"])
+def test_each_strategy_round_trips(tmp_path, strategy, expected_members, kind):
+    # only deep reads ensemble_size
+    config = tiny_run_config(tmp_path, strategy=strategy, ensemble_size=expected_members,
                              train_steps=6 if strategy == "snapshot" else 3)
     result = ua.run_train(config)
     assert len(result.member_files) == expected_members
+    assert json.loads((tmp_path / "predictor.json").read_text())["kind"] == kind
     report = ua.run_evaluate(tmp_path)
     assert 0.0 <= report.accuracy <= 1.0
     assert np.isfinite(report.nll) and np.isfinite(report.brier)
@@ -586,7 +594,7 @@ def test_sweep_rows_equal_prefix_predictors(tmp_path):
 
 def test_sweep_evaluates_each_member_once(tmp_path, monkeypatch):
     from uaperceiver import parallel, strategies
-    from uaperceiver.data import split_calibration
+    from uaperceiver.data import calibration_rows
 
     rows = []
     forward = strategies.forward_logits
@@ -602,7 +610,7 @@ def test_sweep_evaluates_each_member_once(tmp_path, monkeypatch):
     monkeypatch.setattr(parallel, "worker_count", lambda items: 1)
     ua.sweep_ensemble(config, max_size=3)
     train, test = build_datasets(config)
-    calibration = len(split_calibration(train, 0)[1])
+    calibration = len(calibration_rows(len(train), 0)[1])
     assert sum(rows) == 3 * (calibration + len(test))
 
 

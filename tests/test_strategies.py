@@ -1,6 +1,7 @@
 """Training strategies: member independence, weight averaging, capture
 placement and MC dropout."""
 
+import dataclasses
 import math
 import weakref
 
@@ -10,7 +11,7 @@ import pytest
 import uaperceiver as ua
 from uaperceiver import model, strategies
 from uaperceiver import tensor as T
-from uaperceiver.data import channel_stats, make_batches, split_calibration, standardize
+from uaperceiver.data import calibration_rows, channel_stats, make_batches, standardize
 from uaperceiver.errors import DimensionError, RangeError, UsageError
 from uaperceiver.model import (FORWARD_CHUNK, batch_loss, forward_logits, init_params,
                                score_counter)
@@ -37,7 +38,7 @@ def test_deep_m1_equals_single_training(tiny_config, tiny_dataset):
     predictor, _ = ua.deep_ensemble_train(
         tiny_config, 1, 123, tiny_dataset, constant(4), FAST
     )
-    assert predictor.kind == "single"
+    assert predictor.kind == "deep_ensemble"
     store, temp, _ = ua.train_member(
         tiny_config, tiny_dataset, constant(4), derive_seed(123, 0), FAST
     )
@@ -770,21 +771,23 @@ def copied_train_model(config, params, dataset, schedule, seed, settings):
 
 def copied_train_member(config, dataset, schedule, member_seed, settings,
                         fit_temperature):
-    """``train_member`` on copies: the split copied by
-    ``split_calibration``, training on the copied rows, and the fit on the
-    copied calibration rows."""
+    """``train_member`` on copies: each side of the ``calibration_rows``
+    split copied out of ``dataset``, training on the copied rows, and the
+    fit on the copied calibration rows."""
     params = init_params(config, derive_seed(member_seed, 1))
+    train_ds, calib = dataset, None
     if fit_temperature:
-        train_ds, calib_ds = split_calibration(dataset, member_seed)
-    else:
-        train_ds, calib_ds = dataset, None
+        train_rows, calib_rows = calibration_rows(len(dataset), member_seed)
+        train_ds = dataclasses.replace(dataset, images=dataset.images[train_rows],
+                                       labels=dataset.labels[train_rows])
+        calib = (dataset.images[calib_rows], dataset.labels[calib_rows])
     copied_train_model(config, params, train_ds, schedule, derive_seed(member_seed, 2),
                        settings)
     frozen = params.detached()
     temperature = 1.0
-    if calib_ds is not None:
-        logits = forward_logits(config, frozen, calib_ds.images)
-        temperature, _ = temperature_scale(logits, calib_ds.labels)
+    if calib is not None:
+        temperature, _ = temperature_scale(forward_logits(config, frozen, calib[0]),
+                                           calib[1])
     return frozen, temperature
 
 
