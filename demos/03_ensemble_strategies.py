@@ -43,7 +43,7 @@ def main():
             config = dataclasses.replace(BASE, **fields, out_dir=f"{tmp}/{name}")
             start = time.perf_counter()
             result = ua.run_train(config)
-            r = evaluate_predictor(result.predictor, config, result.stats, test)
+            r = evaluate_predictor(result.predictor, config, test)
             print(f"{name:<14} {r.ensemble_size:>2} {r.accuracy:>7.4f} "
                   f"{r.nll:>8.4f} {r.ece:>8.4f} {r.brier:>8.4f} "
                   f"{time.perf_counter() - start:>6.1f}")

@@ -56,11 +56,11 @@ from .strategies import (
     train_member,
 )
 
-# predictor.json holds every Predictor field but config and members by
-# name, next to the "members" checkpoint files and the
-# "stats_mean"/"stats_std" lists
+# predictor.json holds every Predictor field but config, members and stats
+# by name, next to the "members" checkpoint files and the predictor's input
+# statistics as "stats_mean"/"stats_std" lists
 _MANIFEST_HINTS = {key: hint for key, hint in typing.get_type_hints(Predictor).items()
-                   if key not in ("config", "members")}
+                   if key not in ("config", "members", "stats")}
 MANIFEST_KEYS = tuple(_MANIFEST_HINTS)
 
 CHECKPOINT_MAGIC = b"UAPC"
@@ -429,7 +429,6 @@ def build_datasets(config: RunConfig) -> tuple[Dataset, Dataset]:
 class RunResult:
     predictor: Predictor
     logs: list[TrainRunLog]
-    stats: ChannelStats | None
     out_dir: Path
     member_files: list[str]
 
@@ -445,6 +444,7 @@ def run_train(config: RunConfig) -> RunResult:
         train = standardize(train, stats)
     predictor, logs = _STRATEGY_ROWS[config.strategy].train(
         config, config.model_config(), train, config.schedule(), config.train_settings())
+    predictor = dataclasses.replace(predictor, stats=stats)
 
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -471,7 +471,7 @@ def run_train(config: RunConfig) -> RunResult:
     _replace_file(out_dir / "run_log.json", json.dumps(log_payload).encode("utf-8"))
     _replace_file(out_dir / "predictor.json",
                   json.dumps(manifest, indent=2).encode("utf-8"))
-    return RunResult(predictor, logs, stats, out_dir, member_files)
+    return RunResult(predictor, logs, out_dir, member_files)
 
 
 # ---- evaluation ------------------------------------------------------
@@ -530,7 +530,7 @@ def _check_types(where, values: dict, hints: dict) -> None:
             raise FormatError(f"{where}: {key} must be {kind}")
 
 
-def load_predictor(run_dir) -> tuple[Predictor, RunConfig, ChannelStats | None]:
+def load_predictor(run_dir) -> tuple[Predictor, RunConfig]:
     run_dir = Path(run_dir)
     path = run_dir / "predictor.json"
     if run_dir.is_dir() and not path.exists():
@@ -572,15 +572,14 @@ def load_predictor(run_dir) -> tuple[Predictor, RunConfig, ChannelStats | None]:
             store.check_shapes(expected)
         except DimensionError as exc:
             raise CompatibilityError(f"{fname}: {exc}") from None
-    predictor = Predictor(config=model_config, members=members, **fields)
     mean, std = manifest["stats_mean"], manifest["stats_std"]
-    if mean is None and std is None:
-        return predictor, config, None
-    if not (_numbers(mean, config.channels) and _numbers(std, config.channels)
+    if (mean, std) != (None, None) and not (
+            _numbers(mean, config.channels) and _numbers(std, config.channels)
             and min(std) > 0):
         raise FormatError(f"{path}: stats_mean and stats_std must both be null, or "
                           f"lists of {config.channels} finite numbers with std > 0")
-    return predictor, config, ChannelStats(np.array(mean), np.array(std))
+    stats = None if mean is None else ChannelStats(np.array(mean), np.array(std))
+    return Predictor(config=model_config, members=members, stats=stats, **fields), config
 
 
 def _report(predictor: Predictor, size: int, probs, config: RunConfig,
@@ -603,10 +602,8 @@ def _report(predictor: Predictor, size: int, probs, config: RunConfig,
 
 
 def evaluate_predictor(predictor: Predictor, config: RunConfig,
-                       stats: ChannelStats | None, test: Dataset) -> MetricsReport:
+                       test: Dataset) -> MetricsReport:
     start = time.perf_counter()
-    if stats is not None:
-        test = standardize(test, stats)
     probs = predictor.probabilities(test.images)
     return _report(predictor, predictor.ensemble_size, probs, config, test,
                    time.perf_counter() - start)
@@ -614,9 +611,8 @@ def evaluate_predictor(predictor: Predictor, config: RunConfig,
 
 def run_evaluate(run_dir) -> MetricsReport:
     """Rebuild the persisted predictor and score it on the test split."""
-    predictor, config, stats = load_predictor(run_dir)
-    test = build_dataset(config, "test")
-    return evaluate_predictor(predictor, config, stats, test)
+    predictor, config = load_predictor(run_dir)
+    return evaluate_predictor(predictor, config, build_dataset(config, "test"))
 
 
 def sweep_ensemble(config: RunConfig, max_size: int | None = None
@@ -633,8 +629,6 @@ def sweep_ensemble(config: RunConfig, max_size: int | None = None
     result = run_train(config)
     test = build_dataset(config, "test")
     start = time.perf_counter()
-    if result.stats is not None:
-        test = standardize(test, result.stats)
     member_probs = result.predictor.member_probabilities(test.images)
     shared = time.perf_counter() - start
     reports = []

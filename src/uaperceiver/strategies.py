@@ -24,7 +24,7 @@ from itertools import chain, count
 
 import numpy as np
 
-from .data import Dataset, calibration_rows, iter_batches
+from .data import ChannelStats, Dataset, calibration_rows, iter_batches
 from .errors import DimensionError, NumericError, RangeError, UsageError
 from .metrics import softmax_rows, temperature_scale
 from .model import (FORWARD_CHUNK, PerceiverConfig, batch_loss, byte_kv,
@@ -57,6 +57,7 @@ class Predictor:
     mc_delta: float = 0.0
     mc_samples: int = 0  # > 0: each member averages this many masked forwards
     mc_seed: int = 0
+    stats: ChannelStats | None = None  # the input standardization, if any
 
     def __post_init__(self):
         if not self.members:
@@ -69,6 +70,12 @@ class Predictor:
             raise UsageError("MC dropout (mc_delta > 0) needs mc_samples >= 1")
         if self.mc_samples and self.temperatures is not None:
             raise UsageError("MC dropout members take no temperatures")
+        if self.stats is not None and not (
+                all(np.shape(v) == (self.config.channels,) and np.isfinite(v).all()
+                    for v in (self.stats.mean, self.stats.std))
+                and np.all(np.greater(self.stats.std, 0.0))):
+            raise UsageError(f"stats must be finite ({self.config.channels},) "
+                             "arrays with std > 0")
 
     @property
     def ensemble_size(self) -> int:
@@ -77,12 +84,13 @@ class Predictor:
     def member_probabilities(self, images) -> list[np.ndarray]:
         """One n x K block of probability rows per member, in member order.
 
-        The images split into one contiguous slice per worker
-        (``parallel_map`` of ``_slice_probabilities``), each run through
-        every member; a worker is sent its own slice only. A row does not
-        depend on the slice it is in:
-        forwards are batch-invariant and MC image i draws its masks from
-        ``derive_seed(mc_seed, i)`` by its index in ``images``. An MC
+        Raw images are standardized with ``stats`` first, if the predictor
+        has them (bit-equal to ``data.standardize``), then split into one
+        contiguous slice per worker (``parallel_map`` of
+        ``_slice_probabilities``), each run through every member; a worker
+        is sent its own slice only. A row does not depend on the slice it
+        is in: forwards are batch-invariant and MC image i draws its masks
+        from ``derive_seed(mc_seed, i)`` by its index in ``images``. An MC
         member runs the byte side once per FORWARD_CHUNK images, plus one
         zero image, and the latent side in passes of ``_latent_pass_rows``
         masked samples (``_mc_probabilities``), bit-equal to forwarding
@@ -90,6 +98,9 @@ class Predictor:
         images = np.asarray(images, dtype=np.float64)
         if images.ndim == 3:
             images = images[None]
+        if self.stats is not None:  # in place on a copy, as data.standardize
+            images = images - self.stats.mean
+            images /= self.stats.std
         blocks = parallel_map(_slice_probabilities, (self,), _Rows(images))
         return [np.concatenate(parts) for parts in zip(*blocks)]
 
@@ -301,24 +312,19 @@ def swa_train(
     running average at the end of every LR cycle."""
     if schedule.kind != "swa_linear":
         raise UsageError(f"swa_train needs a swa_linear schedule, got {schedule.kind}")
-    c = schedule.cycles_or_c  # LRSchedule guarantees c <= total_steps
+    targets = set(capture_steps(schedule))  # LRSchedule makes at least one
     params = pretrained.copy(requires_grad=True)
-    averaged: dict = {"store": None, "count": 0}
+    averaged: list[ParamStore] = []  # the running average, from the first capture
 
     def on_step(t, current, log):
-        if t % c == 0:
+        if t in targets:
+            n = len(log.captures)  # captures folded in so far
             snapshot = current.detached()
-            if averaged["store"] is None:
-                averaged["store"] = snapshot
-            else:
-                averaged["store"] = swa_update(
-                    averaged["store"], averaged["count"], snapshot
-                )
-            averaged["count"] += 1
-            log.captures.append((t, averaged["count"] - 1))
+            averaged[:] = [swa_update(averaged[0], n, snapshot) if n else snapshot]
+            log.captures.append((t, n))
 
     log = train_model(config, params, dataset, schedule, seed, settings, on_step)
-    return Predictor("swa", config, [averaged["store"]]), log
+    return Predictor("swa", config, averaged), log
 
 
 def _train_capturing(config, params, dataset, schedule, seed, settings,

@@ -3,9 +3,9 @@ still resolve and parse.
 
 ``perfbench/tracer.py`` wraps package functions and methods by name, and
 ``perfbench/run.py`` reads ``model.score_counter``, wraps
-``Predictor.probabilities`` and builds a ``RunConfig`` per workload; a
-rename in the package or a new config check would otherwise show up
-only when the benchmark runs.
+``Predictor.probabilities``, calls harness and metrics functions by name
+and builds a ``RunConfig`` per workload; a rename in the package or a new
+config check would otherwise show up only when the benchmark runs.
 """
 
 import importlib
@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 import uaperceiver
+import uaperceiver.harness
 import uaperceiver.metrics
 import uaperceiver.model
 import uaperceiver.strategies
@@ -71,6 +72,13 @@ def test_counted_names_resolve():
     assert list(inspect.signature(predictor.probabilities).parameters) == [
         "self", "images"]
     assert inspect.isfunction(uaperceiver.metrics.nll_from_logits)
+    # run.py sets up, trains, evaluates and rescores through these
+    for module, names in (
+            (uaperceiver.harness, ("build_datasets", "run_train", "run_evaluate")),
+            (uaperceiver.metrics, ("accuracy", "nll", "ece", "brier"))):
+        for name in names:
+            assert inspect.isfunction(getattr(module, name, None)), name
+    assert inspect.isclass(uaperceiver.metrics.EvalBatch)
 
 
 def test_mc_evaluation_does_the_counted_attention_work(tmp_path):

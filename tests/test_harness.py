@@ -493,15 +493,11 @@ def test_each_strategy_round_trips(tmp_path, strategy, expected_members, kind):
 def test_loaded_predictor_matches_in_memory(tmp_path):
     config = tiny_run_config(tmp_path, strategy="deep")
     result = ua.run_train(config)
-    predictor, loaded_config, stats = load_predictor(tmp_path)
+    predictor, loaded_config = load_predictor(tmp_path)
     assert loaded_config == config
     test = build_dataset(config, "test")
-    from uaperceiver.data import standardize
-
-    probs_mem = result.predictor.probabilities(
-        standardize(test, result.stats).images
-    )
-    probs_disk = predictor.probabilities(standardize(test, stats).images)
+    probs_mem = result.predictor.probabilities(test.images)
+    probs_disk = predictor.probabilities(test.images)
     np.testing.assert_array_equal(probs_mem, probs_disk)
 
 
@@ -517,8 +513,8 @@ def test_older_snapshot_manifest_loads_last_members(tmp_path):
     report = ua.run_evaluate(tmp_path)
     test = build_dataset(config, "test")
     last_two = ua.Predictor("snapshot", config.model_config(),
-                            result.predictor.members[-2:])
-    expected = evaluate_predictor(last_two, config, result.stats, test)
+                            result.predictor.members[-2:], stats=result.predictor.stats)
+    expected = evaluate_predictor(last_two, config, test)
     assert report.ensemble_size == 2
     assert (report.accuracy, report.nll, report.ece, report.brier) == (
         expected.accuracy, expected.nll, expected.ece, expected.brier)
@@ -546,10 +542,12 @@ def test_evaluate_report_equals_direct_metric_calls(tmp_path):
     config = tiny_run_config(tmp_path)
     result = ua.run_train(config)
     test = build_dataset(config, "test")
-    report = evaluate_predictor(result.predictor, config, result.stats, test)
+    report = evaluate_predictor(result.predictor, config, test)
     from uaperceiver.data import standardize
 
-    probs = result.predictor.probabilities(standardize(test, result.stats).images)
+    # the predictor standardizes its input as data.standardize does
+    stats_free = dataclasses.replace(result.predictor, stats=None)
+    probs = stats_free.probabilities(standardize(test, result.predictor.stats).images)
     batch = ua.EvalBatch(probs, test.labels)
     assert report.accuracy == ua.accuracy(batch)
     assert report.nll == ua.nll(batch)
@@ -579,15 +577,16 @@ def test_sweep_rows_equal_prefix_predictors(tmp_path):
     their temperatures scores."""
     config = tiny_run_config(tmp_path, train_steps=2)
     reports = ua.sweep_ensemble(config, max_size=3)
-    predictor, loaded, stats = load_predictor(tmp_path)
+    predictor, loaded = load_predictor(tmp_path)
     test = build_dataset(loaded, "test")
     fields = ("variant", "ensemble_size", "accuracy", "nll", "ece", "brier",
               "temperatures")
     for size, report in enumerate(reports, 1):
         prefix = ua.Predictor(predictor.kind, predictor.config,
                               predictor.members[:size],
-                              temperatures=predictor.temperatures[:size])
-        expected = evaluate_predictor(prefix, loaded, stats, test)
+                              temperatures=predictor.temperatures[:size],
+                              stats=predictor.stats)
+        expected = evaluate_predictor(prefix, loaded, test)
         assert ([getattr(report, f) for f in fields]
                 == [getattr(expected, f) for f in fields])
 

@@ -3,6 +3,7 @@ process hygiene, workers forked once per process and reused by every
 later call, and results that do not depend on the worker count."""
 
 import ctypes
+import gc
 import os
 import resource
 import signal
@@ -414,19 +415,31 @@ def test_training_forks_once_per_run(tmp_path, monkeypatch):
 
 def test_a_second_training_run_takes_almost_no_page_faults(tmp_path, monkeypatch):
     """After the first call, the parent writes only to pages it already
-    owns: no fork write-protects its heap again."""
+    owns: no fork write-protects its heap again.
+
+    A worker forked in run a shares every page the parent held then. The
+    first full garbage collection after that fork writes the header of
+    every tracked object, so it copies each page holding one, once per
+    fork, in whichever run it falls: 1,350 faults in a fresh interpreter,
+    10,700 with 200,000 more live objects, as in a long test session. It
+    is collected before run b, so run b's count is its own."""
     if not hasattr(ctypes.pythonapi, "mallopt"):
         pytest.skip("libc has no mallopt")
     use_workers(monkeypatch, 2)
-    faults = []
+    faults, pids = [], []  # per run: minor faults, worker pids before and after
     for run in ("a", "b"):
+        gc.collect()
         config = ua.RunConfig(strategy="snapshot", batch_size=16, train_steps=2,
                               snapshot_cycles=1, synth_train=32, synth_test=8,
                               out_dir=str(tmp_path / run))
-        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        before = (resource.getrusage(resource.RUSAGE_SELF).ru_minflt, worker_pids())
         ua.run_train(config)
-        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
-    assert faults[1] < 1000, faults
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before[0])
+        pids.append((before[1], worker_pids()))
+    (a_before, a_after), (b_before, b_after) = pids
+    forked = "forked a worker" if b_after != b_before else "forked nothing"
+    assert faults[1] < 1000, (f"faults {faults}; run a: workers {a_before} -> "
+                              f"{a_after}; run b {forked}: {b_before} -> {b_after}")
 
 
 # ---- results do not depend on the worker count -------------------------

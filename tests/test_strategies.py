@@ -11,7 +11,8 @@ import pytest
 import uaperceiver as ua
 from uaperceiver import model, strategies
 from uaperceiver import tensor as T
-from uaperceiver.data import calibration_rows, channel_stats, make_batches, standardize
+from uaperceiver.data import (ChannelStats, calibration_rows, channel_stats, make_batches,
+                              standardize)
 from uaperceiver.errors import DimensionError, RangeError, UsageError
 from uaperceiver.model import (FORWARD_CHUNK, batch_loss, forward_logits, init_params,
                                score_counter)
@@ -22,6 +23,7 @@ from uaperceiver.schedules import lr_at
 from uaperceiver.strategies import chunk_gradients, train_model
 
 from conftest import traced_peak
+from test_parallel import use_workers
 from test_model import CRITERION7, LEARNABLE_UNSHARED_R3
 
 FAST = ua.TrainSettings(batch_size=4)
@@ -78,6 +80,43 @@ def test_predictor_rows_sum_to_one(tiny_config, tiny_dataset):
     probs = predictor.probabilities(tiny_dataset.images[:6])
     assert probs.shape == (6, 3)
     np.testing.assert_allclose(probs.sum(axis=1), np.ones(6), atol=1e-12)
+
+
+# three channels, so each has statistics of its own
+RGB_CONFIG = ua.PerceiverConfig(
+    height=4, width=4, channels=3, num_classes=3, latent_count=4, latent_dim=8,
+    byte_dim=8, num_bands=2, depth_repeats=1, tower_layers=1, heads=2)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("fields", [
+    {}, {"temperatures": [0.7, 1.9]}, {"mc_delta": 0.2, "mc_samples": 3, "mc_seed": 5},
+], ids=["plain", "temperatures", "mc"])
+def test_predictor_stats_standardize_like_data_standardize(monkeypatch, workers,
+                                                           fields):
+    """A predictor with stats scores raw images bit-equal to a stats-free
+    one scoring ``data.standardize`` output."""
+    use_workers(monkeypatch, workers)
+    stats = channel_stats(ua.synth_dataset(1, 20, resolution=4, channels=3))
+    test = ua.synth_dataset(2, 11, resolution=4, channels=3)
+    members = [init_params(RGB_CONFIG, seed).detached() for seed in (0, 1)]
+    stats_free = strategies.Predictor("x", RGB_CONFIG, members, **fields)
+    raw_probs = dataclasses.replace(stats_free, stats=stats).probabilities(test.images)
+    np.testing.assert_array_equal(
+        raw_probs, stats_free.probabilities(standardize(test, stats).images))
+    assert not np.array_equal(raw_probs, stats_free.probabilities(test.images))
+
+
+@pytest.mark.parametrize("mean,std", [
+    ([0.5], [0.2]),  # would broadcast over three channels
+    ([0.5, 0.5, 0.5], [0.2, 0.0, 0.2]),
+    ([0.5, np.nan, 0.5], [0.2, 0.2, 0.2]),
+], ids=["shape-1", "std-zero", "nan"])
+def test_predictor_rejects_bad_stats(mean, std):
+    stats = ChannelStats(np.array(mean), np.array(std))
+    with pytest.raises(UsageError, match="stats"):
+        strategies.Predictor("x", RGB_CONFIG, [init_params(RGB_CONFIG, 0).detached()],
+                             stats=stats)
 
 
 # ---- ensemble averaging ----------------------------------------------
