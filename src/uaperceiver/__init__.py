@@ -8,7 +8,6 @@ from .data import (
     Dataset,
     load_cifar,
     make_batches,
-    permute_pixels,
     synth_dataset,
 )
 from .harness import (

@@ -176,26 +176,3 @@ def calibration_rows(n: int, seed: int, fraction: float = 0.1
         raise UsageError("calibration split would consume the whole dataset")
     order = shuffled_indices(n, derive_seed(seed, 0x5EED))
     return order[: n - n_cal], order[n - n_cal :]
-
-
-# ---- pixel permutation ----------------------------------------------
-
-
-def spatial_permutation(num_pixels: int, seed: int) -> np.ndarray:
-    return shuffled_indices(num_pixels, derive_seed(seed, 0xBEEF))
-
-
-def apply_permutation(dataset: Dataset, permutation: np.ndarray) -> Dataset:
-    n, h, w, c = dataset.images.shape
-    if permutation.shape != (h * w,):
-        raise DimensionError(
-            f"permutation length {permutation.shape[0]} != {h * w} pixels"
-        )
-    flat = dataset.images.reshape(n, h * w, c)
-    return replace(dataset, images=flat[:, permutation, :].reshape(n, h, w, c))
-
-
-def permute_pixels(dataset: Dataset, seed: int) -> Dataset:
-    """One fixed seeded spatial permutation applied to every image."""
-    h, w = dataset.images.shape[1:3]
-    return apply_permutation(dataset, spatial_permutation(h * w, seed))

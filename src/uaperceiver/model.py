@@ -31,7 +31,7 @@ LN_EPS = 1e-5
 # (strategies.chunk_gradients), and MC dropout one byte side per chunk
 # of test images (strategies._mc_probabilities). A training chunk peaks
 # at its forward graph (only what backward reads) plus one node's backward
-# arrays: 22.1 MiB traced for the default model at 16x16, 57.8 at 32x32x3.
+# arrays: 17.8 MiB traced for the default model at 16x16, 55.6 at 32x32x3.
 # Larger chunks raise peak memory in proportion, and a training graph of
 # more images runs slower once it outgrows the cache.
 FORWARD_CHUNK = 8
@@ -267,20 +267,26 @@ def build_byte_array(images, config: PerceiverConfig, params: ParamStore):
     return _linear(feats, params, "input.byte_proj")
 
 
+def _pair(params: ParamStore, prefix: str, names=("w", "b")):
+    return params[f"{prefix}.{names[0]}"], params[f"{prefix}.{names[1]}"]
+
+
+def _norm(params: ParamStore, prefix: str):
+    return _pair(params, prefix, ("gamma", "beta"))
+
+
 def _linear(x, params: ParamStore, prefix: str):
-    return T.linear(x, params[prefix + ".w"], params[prefix + ".b"])
+    return T.linear(x, *_pair(params, prefix))
 
 
-def _multihead_attention(q, k, v, heads: int, kind: str):
-    """Scaled dot-product attention with heads as an axis, counting the
-    score-matrix entries (heads x N x M per image) by kind."""
-    out = T.attention(q, k, v, heads)
-    entries = out.size // out.shape[-1] * heads * k.shape[-2]
+def _count_scores(out, heads: int, keys: int, kind: str) -> None:
+    """Count an attention's score-matrix entries (heads x N x keys per
+    image) by kind; ``out`` is its sub-block's result."""
+    entries = out.size // out.shape[-1] * heads * keys
     if kind == "cross":
         score_counter.cross += entries
     else:
         score_counter.latent += entries
-    return out
 
 
 def cross_attention(latent, bytes_mat, params: ParamStore, config: PerceiverConfig,
@@ -291,18 +297,17 @@ def cross_attention(latent, bytes_mat, params: ParamStore, config: PerceiverConf
     heads * N * M entries. ``kv_cache`` maps a group to its byte-side
     (K, V) (``byte_kv``); a group missing from it is computed from
     ``bytes_mat`` and stored, so a group shared across repeats computes
-    them once.
+    them once. The query side is one ``tensor.prenorm_attention`` node.
     """
     kv_cache = {} if kv_cache is None else kv_cache
     if group not in kv_cache:
         kv_cache[group] = _key_value(bytes_mat, params, group)
     k, v = kv_cache[group]
-    q_in = T.layer_norm(
-        latent, params[f"{group}.ln_q.gamma"], params[f"{group}.ln_q.beta"], LN_EPS
-    )
-    q = _linear(q_in, params, f"{group}.q")
-    attended = _multihead_attention(q, k, v, config.heads, "cross")
-    return T.add(latent, _linear(attended, params, f"{group}.out"))
+    out = T.prenorm_attention(latent, _norm(params, f"{group}.ln_q"),
+                              [_pair(params, f"{group}.q")], _pair(params, f"{group}.out"),
+                              config.heads, (k, v), LN_EPS)
+    _count_scores(out, config.heads, k.shape[-2], "cross")
+    return out
 
 
 def _key_value(bytes_mat, params: ParamStore, group: str):
@@ -315,22 +320,15 @@ def _key_value(bytes_mat, params: ParamStore, group: str):
 
 def latent_block(latent, params: ParamStore, config: PerceiverConfig, group: str,
                  layer: int):
-    """One tower layer: pre-norm self-attention, then pre-norm 4x GELU MLP."""
+    """One tower layer: pre-norm self-attention, then pre-norm 4x GELU MLP,
+    one ``tensor.prenorm_attention`` and one ``tensor.prenorm_mlp`` node."""
     p = f"{group}.layer{layer}"
-    normed = T.layer_norm(
-        latent, params[f"{p}.attn.ln.gamma"], params[f"{p}.attn.ln.beta"], LN_EPS
-    )
-    q = _linear(normed, params, f"{p}.attn.q")
-    k = _linear(normed, params, f"{p}.attn.k")
-    v = _linear(normed, params, f"{p}.attn.v")
-    attended = _multihead_attention(q, k, v, config.heads, "latent")
-    latent = T.add(latent, _linear(attended, params, f"{p}.attn.out"))
-
-    normed = T.layer_norm(
-        latent, params[f"{p}.mlp.ln.gamma"], params[f"{p}.mlp.ln.beta"], LN_EPS
-    )
-    hidden = T.gelu(_linear(normed, params, f"{p}.mlp.fc1"))
-    return T.add(latent, _linear(hidden, params, f"{p}.mlp.fc2"))
+    latent = T.prenorm_attention(latent, _norm(params, f"{p}.attn.ln"),
+                                 [_pair(params, f"{p}.attn.{n}") for n in "qkv"],
+                                 _pair(params, f"{p}.attn.out"), config.heads, eps=LN_EPS)
+    _count_scores(latent, config.heads, latent.shape[-2], "latent")
+    return T.prenorm_mlp(latent, _norm(params, f"{p}.mlp.ln"), _pair(params, f"{p}.mlp.fc1"),
+                         _pair(params, f"{p}.mlp.fc2"), LN_EPS)
 
 
 def _matching_store(forward):

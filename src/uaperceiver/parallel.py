@@ -136,53 +136,61 @@ def _answer(fn, args, share) -> bytes:
 
 
 def _serve(parent: int, requests, replies) -> None:
-    """Worker body: answer each (fn, args, share) received; exit at end
-    of input without running any of the parent's clean-up. A request it
-    cannot unpickle (say, a function the parent's module gained after the
-    fork) is answered with the exception, and the worker exits, since the
-    rest of that request is unread. A worker that cannot send its reply
-    exits without one."""
+    """Worker body: answer each (fn, args, share) received until end of
+    input, after which the worker exits without running any of the
+    parent's clean-up. A request it cannot unpickle (say, a function the
+    parent's module gained after the fork) is answered with the
+    exception, and the worker exits, since the rest of that request is
+    unread. A worker that cannot send its reply exits without one."""
     _in_group.set(True)
-    try:
-        signal.signal(signal.SIGINT, signal.SIG_IGN)  # a terminal's Ctrl-C: the parent's
-        _die_with(parent)
-        while True:
-            try:
-                request = pickle.load(requests)
-            except EOFError:
-                break
-            except Exception as exc:  # noqa: BLE001 - re-raised in the parent
-                replies.write(pickle.dumps(("error", exc)))
-                replies.flush()
-                break
-            replies.write(_answer(*request))
+    _die_with(parent)
+    while True:
+        try:
+            request = pickle.load(requests)
+        except EOFError:
+            break
+        except Exception as exc:  # noqa: BLE001 - re-raised in the parent
+            replies.write(pickle.dumps(("error", exc)))
             replies.flush()
-            del request  # an idle worker holds no call's arguments
-    finally:
-        os._exit(0)
+            break
+        replies.write(_answer(*request))
+        replies.flush()
+        del request  # an idle worker holds no call's arguments
 
 
 def _fork_worker() -> None:
-    """Fork one more worker and add it to ``_workers``."""
+    """Fork one more worker and add it to ``_workers``. SIGINT (a
+    terminal's Ctrl-C, the parent's to handle) stays blocked across the
+    fork until the worker ignores it and the parent has the worker in
+    ``_workers``, where an interrupted call kills and reaps it."""
     parent = os.getpid()
     request_r, request_w = os.pipe()
     reply_r, reply_w = os.pipe()
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
     try:
-        with warnings.catch_warnings():
-            # Python >= 3.12 warns on fork while OpenBLAS threads exist
-            warnings.simplefilter("ignore", DeprecationWarning)
-            pid = os.fork()
-    except OSError:
-        for fd in (request_r, request_w, reply_r, reply_w):
-            os.close(fd)
-        raise
-    if pid == 0:
-        os.close(request_w)
-        os.close(reply_r)
-        _serve(parent, os.fdopen(request_r, "rb"), os.fdopen(reply_w, "wb"))
-    os.close(request_r)
-    os.close(reply_w)
-    _workers.append((pid, os.fdopen(request_w, "wb"), os.fdopen(reply_r, "rb")))
+        try:
+            with warnings.catch_warnings():
+                # Python >= 3.12 warns on fork while OpenBLAS threads exist
+                warnings.simplefilter("ignore", DeprecationWarning)
+                pid = os.fork()
+        except OSError:
+            for fd in (request_r, request_w, reply_r, reply_w):
+                os.close(fd)
+            raise
+        if pid == 0:
+            try:
+                signal.signal(signal.SIGINT, signal.SIG_IGN)
+                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+                os.close(request_w)
+                os.close(reply_r)
+                _serve(parent, os.fdopen(request_r, "rb"), os.fdopen(reply_w, "wb"))
+            finally:
+                os._exit(0)
+        os.close(request_r)
+        os.close(reply_w)
+        _workers.append((pid, os.fdopen(request_w, "wb"), os.fdopen(reply_r, "rb")))
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
 
 
 def _forget(worker) -> None:

@@ -3,17 +3,32 @@
 The engine is deliberately small: arrays whose last two axes are
 matrices, any leading axes being batch axes (images, heads) that
 broadcast, and the dozen operations needed to express an attention
-network. ``linear`` and ``attention`` are fused single nodes. A node is
-kept apart from the value it produced, so a graph holds only what its
-backward reads: an op's result holds its array and a ``_node``, which
-holds its parents' graph entries (a trainable leaf is its own, a
-constant has none) and a closure over the arrays and shapes its backward
-reads; a result no backward reads, such as a residual sum, is freed when
-the forward drops it. Every operation validates that its result is
-finite; NaN/Inf anywhere is treated as an error state rather than
-silently propagated. Shape operations return views. Operations compute
-in place only on arrays they allocated: none writes into its inputs or
-into a gradient it receives, since gradients may alias. Tensors hold no
+network. ``linear`` and ``attention`` are fused single nodes, and so is
+each pre-norm sub-block of a Perceiver: ``prenorm_attention`` (x plus the
+out-projected attention over layer_norm(x), for self-attention or a
+cross-attend's query side) and ``prenorm_mlp`` (x plus the GELU MLP over
+layer_norm(x)). Every op computes through private array kernels that the
+primitive and the fused ops share, so a sub-block's node and the same
+sub-block built from primitive ops agree to the bit. A sub-block node
+keeps what is costly to recompute (layer norm's ``xhat`` and ``inv``, the
+attention probabilities and output, the MLP's pre-activation and tanh
+term) and its backward recomputes the cheap products from them: the
+normalized input, the q, k and v projections and the GELU output
+(selective recomputation, Korthikanti et al. 2022, arXiv:2205.05198). It
+adds the normalized input's gradient as (from q + from k) + from v, the
+grouping separate nodes give. A node is kept apart from the value it
+produced, so a graph holds only what its backward reads: an op's result
+holds its array and a ``_node``, which holds its parents' graph entries
+(a trainable leaf is its own, a constant has none) and a closure over
+the arrays and shapes its backward reads; a result no backward reads,
+such as a residual sum, is freed when the forward drops it. Every
+operation validates that its result is finite; NaN/Inf anywhere is
+treated as an error state rather than silently propagated. A sub-block
+node also checks its q, k and v and its attention scores; any other
+non-finite intermediate reaches its result, which raises the same
+message. Shape operations return views. Operations compute in place
+only on arrays they allocated: none writes into its inputs or into a
+gradient it receives, since gradients may alias. Tensors hold no
 gradient state: ``backward`` returns the gradients. A node's backward
 returns its parents' gradients in order, None to one needing no gradient.
 ``backward`` is one-shot: it drops each node's closure and parents once
@@ -159,9 +174,7 @@ def view_leaf(data: np.ndarray, requires_grad: bool) -> Tensor:
 
 def _result(data: np.ndarray, parents: Sequence[Tensor], backward) -> Tensor:
     """An op's result; it gets a node unless no parent needs a gradient."""
-    if not np.isfinite(data).all():
-        raise NumericError("operation produced non-finite values")
-    out = view_leaf(data, False)
+    out = view_leaf(_finite(data), False)
     entries = tuple([p if p.requires_grad else p._node for p in parents])  # each _entry
     if entries != (None,) * len(entries):
         out._node = _Node(entries, backward)
@@ -182,6 +195,184 @@ def _mean(a: np.ndarray, axis: int = -1) -> np.ndarray:
     out = np.add.reduce(a, axis=axis, keepdims=True)
     out /= a.shape[axis]
     return out
+
+
+# ---- kernels: the array arithmetic of the ops ------------------------
+# A primitive op and a pre-norm sub-block compute through the same
+# kernels, so their results and gradients agree to the bit.
+
+
+def _finite(data: np.ndarray) -> np.ndarray:
+    if not np.isfinite(data).all():
+        raise NumericError("operation produced non-finite values")
+    return data
+
+
+def _linear(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    data = x @ w
+    data += b
+    return data
+
+
+def _linear_grads(g, x, w, sx: tuple):
+    """(dx, dw, db) of ``x @ w + b`` for x of shape ``sx``: dx is None when
+    ``w`` is, and dw when ``x`` is. dw comes first, so an ``x`` recomputed
+    for this call alone is freed before dx is allocated."""
+    dw = None if x is None else _unbroadcast(np.swapaxes(x, -1, -2) @ g,
+                                              (x.shape[-1], g.shape[-1]))
+    del x
+    return (None if w is None else _unbroadcast(g @ w.T, sx), dw,
+            _unbroadcast(g, g.shape[-1:]))
+
+
+def _normalize(x: np.ndarray, eps: float):
+    """(xhat, inv): ``x`` normalized along its last axis, and
+    1 / sqrt(var + eps)."""
+    xhat = x - _mean(x)
+    inv = _mean(xhat * xhat)
+    inv += eps
+    np.divide(1.0, np.sqrt(inv, out=inv), out=inv)  # in place
+    xhat *= inv
+    return xhat, inv
+
+
+def _scale_shift(xhat: np.ndarray, gam: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """Layer norm's output from ``xhat``."""
+    data = xhat * gam
+    data += beta
+    return data
+
+
+def _norm_grads(g, xhat, inv, gam):
+    """(dx, dgamma, dbeta) of layer norm."""
+    axes = tuple(range(g.ndim - 1))
+    tmp = g * xhat
+    ggamma = np.add.reduce(tmp, axis=axes)
+    gx = g * gam
+    np.multiply(gx, xhat, out=tmp)
+    mean_gx = _mean(tmp)
+    gx -= _mean(gx)
+    np.multiply(xhat, mean_gx, out=tmp)
+    gx -= tmp
+    gx *= inv
+    return gx, ggamma, np.add.reduce(g, axis=axes)
+
+
+def _softmax_(x: np.ndarray) -> np.ndarray:
+    """Softmax along the last axis with max-subtraction, overwriting ``x``."""
+    x -= np.maximum.reduce(x, axis=-1, keepdims=True)
+    np.exp(x, out=x)
+    x /= np.add.reduce(x, axis=-1, keepdims=True)
+    return x
+
+
+def _softmax_grad_(g: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Gradient through softmax output ``s``, overwriting ``g``. The row
+    sums of ``g * s`` are formed one leading-axis slice at a time, so the
+    product is never held whole."""
+    if g.ndim < 3:
+        rows = np.add.reduce(g * s, axis=-1, keepdims=True)
+    else:
+        rows = np.empty((*g.shape[:-1], 1))
+        for gi, si, out in zip(g, s, rows):
+            np.add.reduce(gi * si, axis=-1, keepdims=True, out=out)
+    g -= rows
+    g *= s
+    return g
+
+
+def _heads(a: np.ndarray, heads: int) -> np.ndarray:
+    """(..., rows, D) -> (..., H, rows, D / H), a view."""
+    return np.swapaxes(a.reshape(*a.shape[:-1], heads, a.shape[-1] // heads), -2, -3)
+
+
+def _merge(a: np.ndarray) -> np.ndarray:
+    """(..., H, rows, dh) -> (..., rows, H * dh)."""
+    a = np.swapaxes(a, -2, -3)
+    return a.reshape(*a.shape[:-2], a.shape[-2] * a.shape[-1])
+
+
+def _attend(q, k, v, heads: int):
+    """(output, probabilities) of multi-head attention; non-finite scores
+    are a NumericError."""
+    p = _heads(q, heads) @ np.swapaxes(_heads(k, heads), -1, -2)
+    p *= 1.0 / math.sqrt(q.shape[-1] // heads)
+    if not np.isfinite(p).all():
+        raise NumericError("attention produced non-finite scores")
+    _softmax_(p)
+    return _merge(p @ _heads(v, heads)), p
+
+
+def _attend_grads(g, p, q, k, v, heads: int):
+    """(dq, dk, dv) of multi-head attention with probabilities ``p``."""
+    qh, kh, vh, gh = _heads(q, heads), _heads(k, heads), _heads(v, heads), _heads(g, heads)
+    dv = np.empty((*p.shape[:-3], p.shape[-1], q.shape[-1]))  # dV in its merged layout
+    np.matmul(np.swapaxes(p, -1, -2), gh, out=_heads(dv, heads))
+    ds = _softmax_grad_(gh @ np.swapaxes(vh, -1, -2), p)
+    ds *= 1.0 / math.sqrt(q.shape[-1] // heads)
+    dqh = ds @ kh
+    dkh = np.swapaxes(np.swapaxes(qh, -1, -2) @ ds, -1, -2)
+    return (_merge(_unbroadcast(dqh, qh.shape)), _merge(_unbroadcast(dkh, kh.shape)),
+            _unbroadcast(dv, v.shape))
+
+
+def _gelu_tanh(v: np.ndarray) -> np.ndarray:
+    """GELU's tanh term, tanh(c * (v + a * v^3))."""
+    t = v * v
+    t *= v
+    t *= _GELU_A
+    t += v
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    return t
+
+
+def _gelu(v: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """GELU of ``v`` from its tanh term ``t``."""
+    data = t + 1.0  # halving is exact, so this is 0.5 * v * (1 + t) to the bit
+    data *= v
+    data *= 0.5
+    return data
+
+
+def _gelu_grad(g, v, t):
+    tail = t * t
+    np.subtract(1.0, tail, out=tail)
+    du = 0.5 * v
+    tail *= du
+    du = np.multiply(v, v, out=du)  # du/dv of tanh's argument, in 0.5 * v's array
+    du *= 3.0 * _GELU_A
+    du += 1.0
+    du *= _GELU_C
+    tail *= du
+    local = np.add(t, 1.0, out=du)
+    local *= 0.5
+    local += tail
+    local *= g
+    return local
+
+
+def _check_linear(sx: tuple, w: Tensor, b: Tensor) -> None:
+    if (len(sx) < 2 or w.data.ndim != 2 or sx[-1] != w.data.shape[0]
+            or b.data.shape != w.data.shape[1:]):
+        raise DimensionError(f"linear got x {sx}, w {w.data.shape} and b {b.data.shape}")
+
+
+def _check_norm(sx: tuple, gamma: Tensor, beta: Tensor, eps: float) -> None:
+    if eps <= _LN_EPS_MIN:
+        raise UsageError(f"layer_norm eps must be positive, got {eps}")
+    if gamma.data.shape != sx[-1:] or beta.data.shape != sx[-1:]:
+        raise DimensionError(
+            f"layer_norm gamma/beta must have shape ({sx[-1]},), got "
+            f"{gamma.data.shape} and {beta.data.shape}"
+        )
+
+
+def _check_attention(q, k, v, heads: int) -> None:
+    d = q.shape[-1]
+    if q.ndim < 2 or k.ndim < 2 or k.shape[-1] != d or v.shape != k.shape or d % heads != 0:
+        raise DimensionError(f"attention got q {q.shape}, k {k.shape}, v {v.shape} "
+                             f"with {heads} heads")
 
 
 def as_tensor(x) -> Tensor:
@@ -236,23 +427,15 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """``x @ w + b`` as one node: the bias is added in place."""
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
-    if (x.data.ndim < 2 or w.data.ndim != 2 or x.data.shape[-1] != w.data.shape[0]
-            or b.data.shape != w.data.shape[1:]):
-        raise DimensionError(
-            f"linear got x {x.data.shape}, w {w.data.shape} and b {b.data.shape}"
-        )
-    data = x.data @ w.data
-    data += b.data
-    sx, sw, sb = x.data.shape, w.data.shape, b.data.shape
+    _check_linear(x.data.shape, w, b)
+    sx = x.data.shape
     xd = x.data if _entry(w) is not None else None  # read only for w's gradient
-    wt = w.data.T if _entry(x) is not None else None
+    wd = w.data if _entry(x) is not None else None
 
     def backward(g):
-        return (None if wt is None else _unbroadcast(g @ wt, sx),
-                None if xd is None else _unbroadcast(np.swapaxes(xd, -1, -2) @ g, sw),
-                _unbroadcast(g, sb))
+        return _linear_grads(g, xd, wd, sx)
 
-    return _result(data, (x, w, b), backward)
+    return _result(_linear(x.data, w.data, b.data), (x, w, b), backward)
 
 
 def transpose(a: Tensor, axes=None) -> Tensor:
@@ -281,29 +464,6 @@ def reshape(a: Tensor, shape) -> Tensor:
 # ---- nonlinearities --------------------------------------------------
 
 
-def _softmax_(x: np.ndarray) -> np.ndarray:
-    """Softmax along the last axis with max-subtraction, overwriting ``x``."""
-    x -= np.maximum.reduce(x, axis=-1, keepdims=True)
-    np.exp(x, out=x)
-    x /= np.add.reduce(x, axis=-1, keepdims=True)
-    return x
-
-
-def _softmax_grad_(g: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Gradient through softmax output ``s``, overwriting ``g``. The row
-    sums of ``g * s`` are formed one leading-axis slice at a time, so the
-    product is never held whole."""
-    if g.ndim < 3:
-        rows = np.add.reduce(g * s, axis=-1, keepdims=True)
-    else:
-        rows = np.empty((*g.shape[:-1], 1))
-        for gi, si, out in zip(g, s, rows):
-            np.add.reduce(gi * si, axis=-1, keepdims=True, out=out)
-    g -= rows
-    g *= s
-    return g
-
-
 def softmax(x: Tensor) -> Tensor:
     """Softmax along the last axis, computed with max-subtraction."""
     x = as_tensor(x)
@@ -324,113 +484,114 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     keeps the attention probabilities and q, k and v, not the output.
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
-    d = q.data.shape[-1]
-    if (q.data.ndim < 2 or k.data.ndim < 2 or k.data.shape[-1] != d
-            or v.data.shape != k.data.shape or d % heads != 0):
-        raise DimensionError(
-            f"attention got q {q.data.shape}, k {k.data.shape}, v {v.data.shape} "
-            f"with {heads} heads"
-        )
-    dh = d // heads
-    c = 1.0 / math.sqrt(dh)
-    sv = v.data.shape
-
-    def split(a):
-        """(..., rows, D) -> (..., H, rows, dh), a view."""
-        return np.swapaxes(a.reshape(*a.shape[:-1], heads, dh), -2, -3)
-
-    def merge(a):
-        """(..., H, rows, dh) -> (..., rows, D)."""
-        a = np.swapaxes(a, -2, -3)
-        return a.reshape(*a.shape[:-2], d)
-
-    qh, kh, vh = split(q.data), split(k.data), split(v.data)
-    p = qh @ np.swapaxes(kh, -1, -2)
-    p *= c
-    if not np.isfinite(p).all():
-        raise NumericError("attention produced non-finite scores")
-    _softmax_(p)
+    _check_attention(q.data, k.data, v.data, heads)
+    qd, kd, vd = q.data, k.data, v.data
+    out, p = _attend(qd, kd, vd, heads)
 
     def backward(g):
-        gh = split(g)
-        dv = np.empty((*p.shape[:-3], p.shape[-1], d))  # dV in its merged layout
-        np.matmul(np.swapaxes(p, -1, -2), gh, out=split(dv))
-        ds = _softmax_grad_(gh @ np.swapaxes(vh, -1, -2), p)
-        ds *= c
-        dqh = ds @ kh
-        dkh = np.swapaxes(np.swapaxes(qh, -1, -2) @ ds, -1, -2)
-        return (merge(_unbroadcast(dqh, qh.shape)), merge(_unbroadcast(dkh, kh.shape)),
-                _unbroadcast(dv, sv))
+        return _attend_grads(g, p, qd, kd, vd, heads)
 
-    return _result(merge(p @ vh), (q, k, v), backward)
+    return _result(out, (q, k, v), backward)
 
 
 def gelu(x: Tensor) -> Tensor:
     """GELU with the tanh approximation (GPT-2 convention)."""
     x = as_tensor(x)
     v = x.data
-    t = v * v
-    t *= v
-    t *= _GELU_A
-    t += v
-    t *= _GELU_C
-    np.tanh(t, out=t)
-    data = t + 1.0  # halving is exact, so this is 0.5 * v * (1 + t) to the bit
-    data *= v
-    data *= 0.5
+    t = _gelu_tanh(v)
 
     def backward(g):
-        du = v * v
-        du *= 3.0 * _GELU_A
-        du += 1.0
-        du *= _GELU_C
-        tail = t * t
-        np.subtract(1.0, tail, out=tail)
-        tail *= 0.5 * v
-        tail *= du
-        local = np.add(t, 1.0, out=du)
-        local *= 0.5
-        local += tail
-        local *= g
-        return (local,)
+        return (_gelu_grad(g, v, t),)
 
-    return _result(data, (x,), backward)
+    return _result(_gelu(v, t), (x,), backward)
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize along the last axis (1/D variance), then scale and shift."""
-    if eps <= _LN_EPS_MIN:
-        raise UsageError(f"layer_norm eps must be positive, got {eps}")
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
-    d = x.data.shape[-1]
-    if gamma.data.shape != (d,) or beta.data.shape != (d,):
-        raise DimensionError(
-            f"layer_norm gamma/beta must have shape ({d},), got "
-            f"{gamma.data.shape} and {beta.data.shape}"
-        )
-    xhat = x.data - _mean(x.data)
-    inv = _mean(xhat * xhat)
-    inv += eps
-    np.divide(1.0, np.sqrt(inv, out=inv), out=inv)  # 1 / sqrt(var + eps), in place
-    xhat *= inv
+    _check_norm(x.data.shape, gamma, beta, eps)
+    xhat, inv = _normalize(x.data, eps)
     gam = gamma.data
-    data = xhat * gam
-    data += beta.data
 
     def backward(g):
-        axes = tuple(range(g.ndim - 1))
-        tmp = g * xhat
-        ggamma = np.add.reduce(tmp, axis=axes)
-        gx = g * gam
-        np.multiply(gx, xhat, out=tmp)
-        mean_gx = _mean(tmp)
-        gx -= _mean(gx)
-        np.multiply(xhat, mean_gx, out=tmp)
-        gx -= tmp
-        gx *= inv
-        return gx, ggamma, np.add.reduce(g, axis=axes)
+        return _norm_grads(g, xhat, inv, gam)
 
-    return _result(data, (x, gamma, beta), backward)
+    return _result(_scale_shift(xhat, gam, beta.data), (x, gamma, beta), backward)
+
+
+# ---- pre-norm sub-blocks ----------------------------------------------
+
+
+def prenorm_attention(x: Tensor, norm, proj, out, heads: int, kv=(),
+                      eps: float = 1e-5) -> Tensor:
+    """``x + out(attention(q, k, v))`` over ``n = layer_norm(x)``, as one
+    node. ``norm`` is (gamma, beta) and ``out`` and each of ``proj`` a
+    (w, b) pair. Self-attention projects q, k and v from ``n`` by three
+    pairs; a cross-attend projects q by one and is given K and V as the
+    tensors ``kv``.
+
+    The node keeps layer norm's ``xhat`` and ``inv``, the attention
+    probabilities and the attention output; its backward recomputes
+    ``n`` and the projections from them."""
+    x = as_tensor(x)
+    (gamma, beta), (wo, bo), given = norm, out, tuple(kv)
+    _check_norm(x.data.shape, gamma, beta, eps)
+    for w, b in proj:
+        _check_linear(x.data.shape, w, b)
+    xhat, inv = _normalize(x.data, eps)
+    gam, bet, ws = gamma.data, beta.data, [(w.data, b.data) for w, b in proj]
+    n = _scale_shift(xhat, gam, bet)
+    kvd = [t.data for t in given]
+    qkv = [_finite(_linear(n, w, b)) for w, b in ws] + kvd
+    _check_attention(*qkv, heads)
+    a, p = _attend(*qkv, heads)
+    del n, qkv
+    _check_linear(a.shape, wo, bo)
+
+    def backward(g):
+        ga, gwo, gbo = _linear_grads(g, a, wo.data, a.shape)
+        n = _scale_shift(xhat, gam, bet)
+        grads = _attend_grads(ga, p, *[_linear(n, w, b) for w, b in ws], *kvd, heads)
+        gn, pairs = None, []
+        for gi, (w, _) in zip(grads, ws):
+            gni, gw, gb = _linear_grads(gi, n, w, n.shape)
+            gn = gni if gn is None else gn + gni  # (q + k) + v, as separate nodes summed
+            pairs += (gw, gb)
+        gx, ggamma, gbeta = _norm_grads(gn, xhat, inv, gam)
+        gx += _unbroadcast(g, xhat.shape)  # the residual's
+        return (gx, ggamma, gbeta, *pairs, *grads[len(ws):], gwo, gbo)
+
+    data = x.data + _linear(a, wo.data, bo.data)
+    params = [t for pair in proj for t in pair]
+    return _result(data, (x, gamma, beta, *params, *given, wo, bo), backward)
+
+
+def prenorm_mlp(x: Tensor, norm, fc1, fc2, eps: float = 1e-5) -> Tensor:
+    """``x + fc2(gelu(fc1(layer_norm(x))))`` as one node; ``norm`` is
+    (gamma, beta) and ``fc1`` and ``fc2`` (w, b) pairs. The node keeps
+    layer norm's ``xhat`` and ``inv``, fc1's output and GELU's tanh term;
+    its backward recomputes the normalized input and GELU's output."""
+    x = as_tensor(x)
+    (gamma, beta), (w1, b1), (w2, b2) = norm, fc1, fc2
+    _check_norm(x.data.shape, gamma, beta, eps)
+    _check_linear(x.data.shape, w1, b1)
+    xhat, inv = _normalize(x.data, eps)
+    gam, bet = gamma.data, beta.data
+    h = _linear(_scale_shift(xhat, gam, bet), w1.data, b1.data)
+    _check_linear(h.shape, w2, b2)
+    t = _gelu_tanh(h)
+
+    def backward(g):
+        gu, gw2, gb2 = _linear_grads(g, _gelu(h, t), w2.data, h.shape)
+        gh = _gelu_grad(gu, h, t)
+        del gu
+        gn, gw1, gb1 = _linear_grads(gh, _scale_shift(xhat, gam, bet), w1.data, xhat.shape)
+        gx, ggamma, gbeta = _norm_grads(gn, xhat, inv, gam)
+        gx += _unbroadcast(g, xhat.shape)  # the residual's
+        return gx, ggamma, gbeta, gw1, gb1, gw2, gb2
+
+    data = x.data + _linear(_gelu(h, t), w2.data, b2.data)
+    return _result(data, (x, gamma, beta, w1, b1, w2, b2), backward)
 
 
 # ---- reductions and losses ------------------------------------------

@@ -1,4 +1,4 @@
-"""Data ingestion, synthetic generation, batching, and permutation."""
+"""Data ingestion, synthetic generation, batching and calibration splits."""
 
 import dataclasses
 
@@ -8,11 +8,9 @@ import pytest
 import uaperceiver as ua
 from uaperceiver.data import (
     _class_pattern,
-    apply_permutation,
     calibration_rows,
     channel_stats,
     iter_batches,
-    spatial_permutation,
     standardize,
 )
 from uaperceiver.errors import DimensionError, FormatError, UsageError
@@ -239,33 +237,6 @@ def test_calibration_rows_sizes():
 def test_calibration_rows_rejects_tiny():
     with pytest.raises(UsageError):
         calibration_rows(1, 0)
-
-
-# ---- pixel permutation ----------------------------------------------
-
-
-def test_identity_permutation_is_noop(tiny_dataset):
-    out = apply_permutation(tiny_dataset, np.arange(16))
-    np.testing.assert_array_equal(out.images, tiny_dataset.images)
-
-
-def test_permutation_inverse_restores(tiny_dataset):
-    perm = spatial_permutation(16, seed=3)
-    inverse = np.argsort(perm)
-    out = apply_permutation(apply_permutation(tiny_dataset, perm), inverse)
-    np.testing.assert_array_equal(out.images, tiny_dataset.images)
-
-
-def test_permutation_preserves_pixel_multiset(tiny_dataset):
-    out = ua.permute_pixels(tiny_dataset, seed=4)
-    a = np.sort(tiny_dataset.images.reshape(len(tiny_dataset), -1), axis=1)
-    b = np.sort(out.images.reshape(len(out), -1), axis=1)
-    np.testing.assert_array_equal(a, b)
-
-
-def test_permutation_length_check(tiny_dataset):
-    with pytest.raises(DimensionError):
-        apply_permutation(tiny_dataset, np.arange(15))
 
 
 # ---- Dataset container ----------------------------------------------

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 import uaperceiver as ua
+from uaperceiver import model
 from uaperceiver import tensor as T
-from uaperceiver.errors import ConfigError, DimensionError, RangeError
+from uaperceiver.errors import ConfigError, DimensionError, NumericError, RangeError
 from uaperceiver.model import (
     FORWARD_CHUNK,
     LN_EPS,
@@ -17,6 +18,8 @@ from uaperceiver.model import (
     param_shapes,
     score_counter,
 )
+
+from uaperceiver.strategies import chunk_gradients
 
 from conftest import global_fd_gradcheck
 
@@ -547,3 +550,170 @@ def test_config_validation():
         with pytest.raises(ConfigError, match="max_frequency"):
             ua.PerceiverConfig(max_frequency=value)
     assert ua.PerceiverConfig(max_frequency=0.0).frequency_cap == 16.0
+
+
+# ---- one graph node per pre-norm sub-block ---------------------------------
+
+
+def primitive_cross_attention(latent, bytes_mat, params, config, group, kv_cache=None):
+    """``model.cross_attention`` as it was before its query side was one
+    node: layer norm, the q projection, attention, the out-projection and
+    the residual sum, each a node of its own."""
+    kv_cache = {} if kv_cache is None else kv_cache
+    if group not in kv_cache:
+        kv_cache[group] = model._key_value(bytes_mat, params, group)
+    k, v = kv_cache[group]
+    q_in = T.layer_norm(latent, params[f"{group}.ln_q.gamma"],
+                        params[f"{group}.ln_q.beta"], LN_EPS)
+    q = T.linear(q_in, params[f"{group}.q.w"], params[f"{group}.q.b"])
+    attended = T.attention(q, k, v, config.heads)
+    return T.add(latent, T.linear(attended, params[f"{group}.out.w"],
+                                  params[f"{group}.out.b"]))
+
+
+def primitive_latent_block(latent, params, config, group, layer):
+    """``model.latent_block`` as it was before each sub-block was one node:
+    twelve nodes, from layer norm to the MLP's residual sum."""
+    p = f"{group}.layer{layer}"
+
+    def linear(x, name):
+        return T.linear(x, params[f"{p}.{name}.w"], params[f"{p}.{name}.b"])
+
+    normed = T.layer_norm(latent, params[f"{p}.attn.ln.gamma"],
+                          params[f"{p}.attn.ln.beta"], LN_EPS)
+    q, k, v = (linear(normed, f"attn.{n}") for n in "qkv")
+    attended = T.attention(q, k, v, config.heads)
+    latent = T.add(latent, linear(attended, "attn.out"))
+    normed = T.layer_norm(latent, params[f"{p}.mlp.ln.gamma"],
+                          params[f"{p}.mlp.ln.beta"], LN_EPS)
+    hidden = T.gelu(linear(normed, "mlp.fc1"))
+    return T.add(latent, linear(hidden, "mlp.fc2"))
+
+
+def use_primitive_blocks(monkeypatch):
+    """Build every forward from the primitive-op blocks above."""
+    monkeypatch.setattr(model, "cross_attention", primitive_cross_attention)
+    monkeypatch.setattr(model, "latent_block", primitive_latent_block)
+
+
+FIVE_CONFIGS = {
+    "criterion7": CRITERION7,
+    "default": ua.RunConfig().model_config(),
+    "shared-r3": ua.PerceiverConfig(depth_repeats=3),
+    "learnable-unshared-r3": LEARNABLE_UNSHARED_R3,
+    "32x32x3": ua.PerceiverConfig(height=32, width=32, channels=3, num_classes=10),
+}
+
+
+def chunk_data(config, images):
+    return ua.synth_dataset(3, images, resolution=config.height,
+                            num_classes=config.num_classes, channels=config.channels)
+
+
+@pytest.mark.parametrize("images", [1, FORWARD_CHUNK])
+@pytest.mark.parametrize("name", FIVE_CONFIGS)
+def test_sub_block_nodes_bit_equal_the_primitive_ops(name, images, monkeypatch):
+    config = FIVE_CONFIGS[name]
+    data = chunk_data(config, images)
+    params = ua.init_params(config, 4)
+
+    def loss_and_gradient():
+        [(loss, grad)] = chunk_gradients(config, params, data.images, data.labels,
+                                         range(1))
+        return loss, grad
+
+    loss, grad = loss_and_gradient()
+    use_primitive_blocks(monkeypatch)
+    expected_loss, expected = loss_and_gradient()
+    assert loss == expected_loss
+    np.testing.assert_array_equal(grad, expected)
+
+
+def interior_nodes(loss) -> int:
+    return sum(type(e) is not T.Tensor for e in T._toposort(T._entry(loss)))
+
+
+@pytest.mark.parametrize("config, images, fused, primitive", [
+    (CRITERION7, 4, 11, 25), (ua.PerceiverConfig(), FORWARD_CHUNK, 18, 66),
+], ids=["criterion7", "default"])
+def test_a_sub_block_is_one_graph_node(config, images, fused, primitive, monkeypatch):
+    """A tower layer is two nodes and a cross-attend's query side one; the
+    byte side (byte projection, ln_kv, K and V) and the head are as before."""
+    data = chunk_data(config, images)
+    params = ua.init_params(config, 4)
+    assert interior_nodes(batch_loss(config, params, data.images, data.labels)) == fused
+    use_primitive_blocks(monkeypatch)
+    assert interior_nodes(batch_loss(config, params, data.images, data.labels)) == primitive
+
+
+def overflowing(monkeypatch, kernel, applies):
+    """Make ``tensor.<kernel>`` return +inf in its (first) array wherever
+    ``applies(*args)`` holds."""
+    original = getattr(T, kernel)
+
+    def forced(*args):
+        out = original(*args)
+        if not applies(*args):
+            return out
+        if isinstance(out, tuple):
+            return (np.full_like(out[0], np.inf), *out[1:])
+        return np.full_like(out, np.inf)
+
+    monkeypatch.setattr(T, kernel, forced)
+
+
+def param_is(params, name):
+    """Whether a kernel's array argument is parameter ``name``'s array."""
+    return lambda *args: any(a is params[name].data for a in args)
+
+
+def numeric_errors(config, params, data, monkeypatch) -> list[str]:
+    """The NumericError messages of a loss built from sub-block nodes, then
+    from primitive-op blocks."""
+    messages = []
+    for primitive in (False, True):
+        if primitive:
+            use_primitive_blocks(monkeypatch)
+        with pytest.raises(NumericError) as raised:
+            batch_loss(config, params, data.images, data.labels)
+        messages.append(str(raised.value))
+    return messages
+
+
+@pytest.mark.parametrize("stage, kernel, applies", [
+    ("cross ln_q output", "_scale_shift", lambda p: param_is(p, "cross_shared.ln_q.gamma")),
+    ("cross q", "_linear", lambda p: param_is(p, "cross_shared.q.w")),
+    ("cross attention output", "_attend", lambda p: lambda q, k, v, h: k.shape[-2] > 8),
+    ("cross out-projection", "_linear", lambda p: param_is(p, "cross_shared.out.w")),
+    ("tower ln output", "_scale_shift",
+     lambda p: param_is(p, "tower_shared.layer0.attn.ln.gamma")),
+    ("tower v", "_linear", lambda p: param_is(p, "tower_shared.layer0.attn.v.w")),
+    ("tower attention output", "_attend", lambda p: lambda q, k, v, h: k.shape[-2] == 8),
+    ("tower out-projection", "_linear", lambda p: param_is(p, "tower_shared.layer0.attn.out.w")),
+    ("mlp ln output", "_scale_shift", lambda p: param_is(p, "tower_shared.layer0.mlp.ln.gamma")),
+    ("fc1", "_linear", lambda p: param_is(p, "tower_shared.layer0.mlp.fc1.w")),
+    ("gelu", "_gelu", lambda p: lambda v, t: True),
+    ("fc2", "_linear", lambda p: param_is(p, "tower_shared.layer0.mlp.fc2.w")),
+])
+def test_an_overflow_in_a_sub_block_raises_the_primitive_ops_message(
+        stage, kernel, applies, monkeypatch):
+    """Wherever a sub-block's arithmetic overflows, its one node raises the
+    NumericError that the first primitive op to see the overflow raised."""
+    config = CRITERION7  # latent_count 8, 256 bytes
+    data = chunk_data(config, 2)
+    params = ua.init_params(config, 4)
+    overflowing(monkeypatch, kernel, applies(params))
+    assert numeric_errors(config, params, data, monkeypatch) == [
+        "operation produced non-finite values"] * 2
+
+
+@pytest.mark.parametrize("group", ["cross_shared", "tower_shared.layer0.attn"])
+def test_overflowing_attention_scores_raise_the_primitive_ops_message(group,
+                                                                      monkeypatch):
+    config = CRITERION7
+    data = chunk_data(config, 2)
+    params = ua.init_params(config, 4)
+    params[f"{group}.q.b"].data[...] = 1e200
+    params[f"{group}.k.b"].data[...] = 1e200
+    assert numeric_errors(config, params, data, monkeypatch) == [
+        "attention produced non-finite scores"] * 2

@@ -322,6 +322,38 @@ def test_a_request_a_worker_cannot_unpickle_raises_the_real_error(monkeypatch):
     assert parallel_map(late, (), range(2)) == [[0], [1]]
 
 
+def signal_set(status: str, field: str) -> set:
+    """The signals in a ``/proc/<pid>/status`` mask field (SigBlk, SigIgn, ...)."""
+    mask = int(next(line.split()[1] for line in status.splitlines()
+                    if line.startswith(field + ":")), 16)
+    return {s for s in signal.Signals if mask >> (s - 1) & 1}
+
+
+@pytest.mark.skipif(not Path(f"/proc/{os.getpid()}/status").exists(),
+                    reason="reads signal masks from Linux /proc")
+def test_a_new_worker_ignores_sigint_from_its_first_instruction(monkeypatch):
+    """SIGINT is blocked across the fork, so a Ctrl-C cannot reach a new
+    worker before it ignores SIGINT; the worker then unblocks it, and the
+    parent restores its own mask once the worker is known."""
+    use_workers(monkeypatch, 2)
+    at_fork = []
+    fork = os.fork
+
+    def recording_fork():
+        at_fork.append(signal.pthread_sigmask(signal.SIG_BLOCK, []))
+        return fork()
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    before = signal.pthread_sigmask(signal.SIG_BLOCK, [])
+    [_, worker] = parallel_map(pid_of, (), range(2))  # a reply: the worker serves
+    assert signal.SIGINT not in before
+    assert len(at_fork) == 1 and signal.SIGINT in at_fork[0]
+    assert signal.pthread_sigmask(signal.SIG_BLOCK, []) == before
+    status = Path(f"/proc/{worker}/status").read_text()
+    assert signal.SIGINT in signal_set(status, "SigIgn")
+    assert signal.SIGINT not in signal_set(status, "SigBlk")
+
+
 def test_a_process_forked_by_other_means_leaves_the_workers_alone(monkeypatch):
     use_workers(monkeypatch, 2)
     [_, worker] = parallel_map(pid_of, (), range(2))

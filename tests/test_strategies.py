@@ -24,7 +24,7 @@ from uaperceiver.strategies import chunk_gradients, train_model
 
 from conftest import traced_peak
 from test_parallel import use_workers
-from test_model import CRITERION7, LEARNABLE_UNSHARED_R3
+from test_model import CRITERION7, LEARNABLE_UNSHARED_R3, use_primitive_blocks
 
 FAST = ua.TrainSettings(batch_size=4)
 
@@ -710,6 +710,7 @@ def test_one_shot_backward_is_bit_identical_to_the_kept_graph(config, batch,
     data = ua.synth_dataset(3, batch)
     params = init_params(config, 4)
     [(loss, grad)] = chunk_gradients(config, params, data.images, data.labels, range(1))
+    use_primitive_blocks(monkeypatch)  # so the kept graph is also one from before fusion
     monkeypatch.setattr(T, "attention", two_temporaries_attention)
     kept = batch_loss(config, params, data.images, data.labels)
     found = kept_graph_backward(kept)
@@ -719,14 +720,14 @@ def test_one_shot_backward_is_bit_identical_to_the_kept_graph(config, batch,
 
 
 def test_the_forward_graph_frees_arrays_no_backward_reads(monkeypatch):
-    """The byte projection feeding ln_kv and every residual sum are read
-    by no backward (layer_norm keeps its normalized input, add and
-    mean_rows only shapes), so each is freed while the loss built on it
-    is alive."""
+    """The byte projection feeding ln_kv and every pre-norm sub-block's
+    result, its residual sum, are read by no backward (layer norm and a
+    sub-block keep their normalized input, mean_rows only shapes), so
+    each is freed while the loss built on it is alive."""
     config = ua.PerceiverConfig()
     data = ua.synth_dataset(3, 2)
     params = init_params(config, 4)
-    layer_norm, add = T.layer_norm, T.add
+    layer_norm = T.layer_norm
     projections, sums = [], []
 
     def recording_layer_norm(x, gamma, beta, eps):
@@ -734,13 +735,16 @@ def test_the_forward_graph_frees_arrays_no_backward_reads(monkeypatch):
             projections.append(weakref.ref(x.data))
         return layer_norm(x, gamma, beta, eps)
 
-    def recording_add(a, b):
-        out = add(a, b)
-        sums.append(weakref.ref(out.data))
-        return out
+    def recording(sub_block):
+        def recorded(*args, **kwargs):
+            out = sub_block(*args, **kwargs)
+            sums.append(weakref.ref(out.data))
+            return out
+        return recorded
 
     monkeypatch.setattr(T, "layer_norm", recording_layer_norm)
-    monkeypatch.setattr(T, "add", recording_add)
+    for name in ("prenorm_attention", "prenorm_mlp"):
+        monkeypatch.setattr(T, name, recording(getattr(T, name)))
     loss = batch_loss(config, params, data.images, data.labels)
     # one shared ln_kv; per repeat a cross residual and two per tower layer
     assert len(projections) == 1 and len(sums) == config.depth_repeats * 5
@@ -750,16 +754,18 @@ def test_the_forward_graph_frees_arrays_no_backward_reads(monkeypatch):
 
 
 @pytest.mark.parametrize("config, bound_mib", [
-    (ua.PerceiverConfig(), 23.0),
-    (ua.PerceiverConfig(height=32, width=32, channels=3, num_classes=10), 59.5),
+    (ua.PerceiverConfig(), 19.0),
+    (ua.PerceiverConfig(height=32, width=32, channels=3, num_classes=10), 57.0),
 ], ids=["16x16", "32x32x3"])
 def test_a_training_chunk_frees_its_graph_during_backward(config, bound_mib):
     """One default-model 8-image chunk peaks near its forward graph
-    (20.3 MiB at 16x16, 46.1 MiB at 32x32x3), which holds only what its
-    backward reads: a backward that kept every forward array until it
-    returned peaked at 31.95 and 82.0 MiB, and one that freed them as it
-    went, over a graph whose nodes kept their own outputs, at 25.8 and
-    63.1 MiB."""
+    (15.5 MiB at 16x16, 41.3 MiB at 32x32x3), which holds only what its
+    backward reads, with each pre-norm sub-block one node that recomputes
+    its cheap products in backward: it peaks at 17.8 and 55.6 MiB. With a
+    node per primitive op it peaked at 22.1 and 57.8 MiB; before that a
+    backward that kept every forward array until it returned peaked at
+    31.95 and 82.0 MiB, and one that freed them as it went, over a graph
+    whose nodes kept their own outputs, at 25.8 and 63.1 MiB."""
     data = ua.synth_dataset(3, FORWARD_CHUNK, resolution=config.height,
                             num_classes=config.num_classes, channels=config.channels)
     params = init_params(config, 4)
